@@ -16,17 +16,21 @@ lint:
 	ruff check src tests benchmarks examples
 
 # HNSW hot-path benchmark: build + search timings, recall, and the
-# speedup vs the previous run recorded in BENCH_hnsw.json (perf trajectory)
+# speedup vs the previous run recorded in BENCH_hnsw.json (perf trajectory),
+# plus the dimension axis: compiled and python-fallback rows at d=32/96/128
 bench:
-	python benchmarks/bench_hnsw.py
+	python benchmarks/bench_hnsw.py --dims 32,96,128
 
 # CI-sized variant: tiny corpus, fails if recall@10 drops below the floor.
-# The second leg disables the compiled kernels (CC=/bin/false; fresh TMPDIR
+# The d=128 leg also fails if a compiler is present but the compiled
+# search or build path is off, so a dimension gate cannot come back.
+# The last leg disables the compiled kernels (CC=/bin/false; fresh TMPDIR
 # so the .so cache can't satisfy the load) and must stay green too — the
 # pure-python fallback is a supported configuration, not a degraded one.
 bench-smoke:
 	mkdir -p $(SMOKE_DIR)
 	python benchmarks/bench_hnsw.py --tiny --min-recall 0.95 --out $(SMOKE_DIR)/BENCH_hnsw_smoke.json
+	python benchmarks/bench_hnsw.py --tiny --dim 128 --require-native --min-recall 0.95 --out $(SMOKE_DIR)/BENCH_hnsw_smoke_d128.json
 	TMPDIR=$$(mktemp -d) CC=/bin/false python benchmarks/bench_hnsw.py --tiny --min-recall 0.95 --out $(SMOKE_DIR)/BENCH_hnsw_smoke_nonative.json
 
 # IVF-PQ fast-scan benchmark: ADC scan throughput vs the pre-kernel path,

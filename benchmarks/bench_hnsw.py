@@ -15,12 +15,21 @@ writes ``BENCH_hnsw.json`` at the repo root:
 - a SHA-256 checksum of the (D, I) results, so two implementations can be
   compared for bit-identical output at a fixed seed.
 
+Every report records which HNSW code path ran and why (``native``: the
+index's ``native_reason`` for search and build).  ``--dims 32,96,128``
+adds a dimension axis: at each dim, one row on the compiled paths and one
+with ``REPRO_HNSW_NO_NATIVE=1`` (the python fallback), plus the per-call
+cost of the numpy reference l2 kernel the fallback runs on — so a path
+that silently stops being compiled at some dim shows up as a number.
+
 If a previous ``BENCH_hnsw.json`` exists it is folded into the new file as
 ``previous`` (plus a rolling ``history``), and the combined build+search
 speedup against it is computed — the recorded perf trajectory.
 
-Run via ``make bench`` (full size: n=20k, d=32) or ``make bench-smoke``
-(``--tiny``; used by CI, which also enforces a recall floor).
+Run via ``make bench`` (full size: n=20k, d=32, plus the dim axis at n=5k)
+or ``make bench-smoke`` (``--tiny``; used by CI, which also enforces a
+recall floor and, with ``--require-native``, that a compiler-equipped host
+really runs the compiled paths at d=128).
 """
 
 from __future__ import annotations
@@ -28,8 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
+import timeit
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -51,8 +63,10 @@ from trajectory import (  # noqa: E402
     results_checksum,
 )
 
+import repro.hnsw.native as hnsw_native  # noqa: E402
 from repro.datasets import brute_force_knn  # noqa: E402
 from repro.hnsw import HnswIndex, HnswParams  # noqa: E402
+from repro.hnsw.kernels import fast_kernel_for  # noqa: E402
 
 #: keys every BENCH_hnsw.json must provide (CI's bench-smoke checks these)
 REQUIRED_KEYS = (
@@ -95,6 +109,77 @@ def search_batched(index: HnswIndex, Q: np.ndarray, k: int, ef: int):
     return D, ids
 
 
+@contextmanager
+def python_fallback():
+    """Indexes made inside run on the python paths, as with
+    ``REPRO_HNSW_NO_NATIVE=1`` (the loader's sticky state is reset
+    around the block so the hatch is honoured mid-process)."""
+    saved = hnsw_native._lib, hnsw_native._lib_state
+    os.environ["REPRO_HNSW_NO_NATIVE"] = "1"
+    hnsw_native._lib, hnsw_native._lib_state = None, "unloaded"
+    try:
+        yield
+    finally:
+        del os.environ["REPRO_HNSW_NO_NATIVE"]
+        hnsw_native._lib, hnsw_native._lib_state = saved
+
+
+def kernel_call_us(dim: int, rows: int = 25, seed: int = 0) -> dict:
+    """Per-call cost of the python fallback's l2 kernel on one beam hop.
+
+    ``reference``: the canonical-reduction numpy kernel the python paths
+    run; ``einsum``: numpy's einsum row-dot, the pre-canonical kernel,
+    kept as the yardstick for what the reference costs.
+    """
+    rng = np.random.default_rng(seed)
+    sub = rng.normal(size=(rows, dim)).astype(np.float32)
+    q = rng.normal(size=dim).astype(np.float32)
+    ref = fast_kernel_for("l2")
+
+    def einsum():
+        diff = sub - q
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    out = {}
+    for name, fn in (("reference", lambda: ref(q, sub)), ("einsum", einsum)):
+        n = 2000
+        out[name] = round(min(timeit.repeat(fn, number=n, repeat=5)) / n * 1e6, 2)
+    return out
+
+
+#: corpus size of the dimension axis (capped at ``--n``)
+SWEEP_N = 5000
+
+
+def _sweep_row(dim: int, path: str, r: dict) -> dict:
+    return {
+        "dim": dim,
+        "path": path,
+        "n": r["config"]["n"],
+        "native": r["native"],
+        "build_points_per_s": r["build"]["points_per_s"],
+        "single_qps": r["search"]["single_qps"],
+        "batched_qps": r["search"]["batched_qps"],
+        "recall_at_k": r["search"]["recall_at_k"],
+        "dist_evals_per_query": r["search"]["dist_evals_per_query"],
+        "results_sha256": r["results_sha256"],
+    }
+
+
+def dim_sweep(args: argparse.Namespace) -> list[dict]:
+    """Compiled and python-fallback rows at every ``--dims`` width."""
+    rows = []
+    for dim in args.dims:
+        sub = argparse.Namespace(**{**vars(args), "dim": dim, "n": min(SWEEP_N, args.n)})
+        native = _sweep_row(dim, "native", run(sub))
+        with python_fallback():
+            python = _sweep_row(dim, "python", run(sub))
+        python["l2_kernel_us_per_25_row_call"] = kernel_call_us(dim)
+        python["bit_identical_to_native"] = python["results_sha256"] == native["results_sha256"]
+        rows += [native, python]
+    return rows
+
+
 def run(args: argparse.Namespace) -> dict:
     X, Q = make_dataset(args.n, args.dim, args.n_queries, args.seed)
     gt_d, gt_i = brute_force_knn(X, Q, args.k, metric=args.metric)
@@ -103,6 +188,12 @@ def run(args: argparse.Namespace) -> dict:
     )
 
     index = HnswIndex(dim=args.dim, params=params, metric=args.metric, capacity=args.n)
+    native = {
+        "search": index.native_reason,
+        "build": index.native_build_reason,
+        "search_active": index.native_search_active,
+        "build_active": index.native_build_active,
+    }
     t0 = time.perf_counter()
     index.add_items(X)
     build_seconds = time.perf_counter() - t0
@@ -159,6 +250,7 @@ def run(args: argparse.Namespace) -> dict:
         },
         "combined_seconds": round(build_seconds + single_seconds + batched_seconds, 4),
         "results_sha256": results_checksum(D, ids),
+        "native": native,
     }
     return report
 
@@ -179,6 +271,8 @@ TRIM_FIELDS = {
     "dist_evals_per_query": "search.dist_evals_per_query",
     "combined_seconds": "combined_seconds",
     "results_sha256": "results_sha256",
+    "native": "native",
+    "dims": "dims",
 }
 
 
@@ -216,6 +310,18 @@ def main(argv: list[str] | None = None) -> int:
         "--tiny", action="store_true", help="CI smoke size (n=2000, 50 queries)"
     )
     ap.add_argument(
+        "--dims",
+        type=lambda s: [int(d) for d in s.split(",")],
+        default=None,
+        help="comma-separated dims for the native/python dimension axis",
+    )
+    ap.add_argument(
+        "--require-native",
+        action="store_true",
+        dest="require_native",
+        help="exit non-zero if a C compiler exists but a compiled path is off",
+    )
+    ap.add_argument(
         "--min-recall",
         type=float,
         default=None,
@@ -227,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
         args.n, args.n_queries = 2000, 50
 
     report = run(args)
+    if args.dims:
+        report["dims"] = dim_sweep(args)
     report = fold_with_speedup(report, args.out)
 
     missing = missing_keys(report, REQUIRED_KEYS)
@@ -246,6 +354,19 @@ def main(argv: list[str] | None = None) -> int:
     print(f"single  {s['single_qps']:>12,.0f} q/s     ({s['dist_evals_per_query']:.0f} evals/query)")
     print(f"batched {s['batched_qps']:>12,.0f} q/s")
     print(f"recall@{report['config']['k']} = {s['recall_at_k']:.4f}")
+    nat = report["native"]
+    print(f"hnsw path at d={args.dim}: search={nat['search']} build={nat['build']}")
+    for row in report.get("dims", []):
+        line = (
+            f"  d={row['dim']:<4d} {row['path']:<6s} build {row['build_points_per_s']:>9,.0f} pts/s"
+            f"  single {row['single_qps']:>8,.0f} q/s  batched {row['batched_qps']:>8,.0f} q/s"
+            f"  recall {row['recall_at_k']:.4f}"
+        )
+        if row["path"] == "python":
+            us = row["l2_kernel_us_per_25_row_call"]
+            same = "identical" if row["bit_identical_to_native"] else "DIFFERENT"
+            line += f"  (l2 kernel {us['reference']} vs einsum {us['einsum']} us/call; {same})"
+        print(line)
     if "speedup_vs_previous" in report:
         ident = "bit-identical" if report.get("bit_identical_to_previous") else "DIFFERENT results"
         print(
@@ -254,6 +375,17 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(f"wrote {args.out}")
 
+    has_cc = shutil.which("gcc") or shutil.which("cc")
+    if args.require_native and has_cc and not (nat["search_active"] and nat["build_active"]):
+        print(
+            f"ERROR: a C compiler is present but the compiled hnsw paths are off at "
+            f"d={args.dim} (search={nat['search']}, build={nat['build']})",
+            file=sys.stderr,
+        )
+        return 4
+    if any(not row.get("bit_identical_to_native", True) for row in report.get("dims", [])):
+        print("ERROR: python-fallback results differ from the compiled paths", file=sys.stderr)
+        return 5
     if args.min_recall is not None and s["recall_at_k"] < args.min_recall:
         print(
             f"ERROR: recall@{report['config']['k']} {s['recall_at_k']:.4f} "

@@ -119,6 +119,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"VP {report.vptree_seconds:.3f}s, HNSW {report.hnsw_seconds:.3f}s)\n"
         f"index saved to {args.out}/"
     )
+    _print_native_summary(ann._build.metrics.dump())
     return 0
 
 
@@ -260,6 +261,13 @@ def _print_filter_summary(cfg, rep) -> None:
         print(f"filter: tenant {rep.tenant_id}, {rep.tenant_queries} tenant queries")
 
 
+def _print_native_summary(metrics: dict) -> None:
+    """Which HNSW code path ran and why: the ``native.active`` gauges."""
+    gauges = {k: v for k, v in metrics.get("gauges", {}).items() if k.startswith("native.active")}
+    if gauges:
+        print("hnsw path: " + "  ".join(f"{k}={v}" for k, v in sorted(gauges.items())))
+
+
 def _print_latency_summary(rep) -> None:
     """Per-query latency percentiles, whenever they were observable."""
     lat = rep.query_latencies
@@ -315,9 +323,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     ann = DistributedANN(cfg)
     # reconstitute the fitted state from disk
-    from repro.core.build import BuildOutput
+    from repro.core.build import BuildOutput, record_native_paths
     from repro.core.partition import NodeStore
     from repro.core.replication import Workgroups
+    from repro.obs.metrics import MetricsRegistry
 
     router = _load_router(os.path.join(args.index, "router.npz"))
     # per-vector metadata saved by `repro build --attrs`; without it a
@@ -353,6 +362,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         vptree_seconds=0.0,
         replication_seconds=0.0,
         partition_sizes=[p.n_points for p in partitions.values()],
+        metrics=record_native_paths(
+            MetricsRegistry(), [p.index for p in partitions.values()]
+        ),
     )
     ann._dim = meta["dim"]
 
@@ -371,6 +383,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     _print_serving_summary(cfg, rep)
     _print_filter_summary(cfg, rep)
     _print_latency_summary(rep)
+    _print_native_summary(rep.metrics)
     if fault_spec is not None:
         _print_fault_summary(rep)
     if any(v > 0 for v in rep.phase_breakdown.values()):

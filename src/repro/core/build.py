@@ -36,7 +36,7 @@ from repro.utils.rng import rng_for
 from repro.vptree.distributed import distributed_build
 from repro.vptree.router import PartitionRouter
 
-__all__ = ["BuildOutput", "run_build"]
+__all__ = ["BuildOutput", "record_native_paths", "run_build"]
 
 
 @dataclass
@@ -151,6 +151,23 @@ def _builder_program(
     }
 
 
+def record_native_paths(metrics: MetricsRegistry, indexes) -> MetricsRegistry:
+    """Record the ``native.active{path=search|build, reason=...}`` gauges.
+
+    One gauge per HNSW code path and the reason it runs where it does
+    (see :mod:`repro.hnsw.native`): 1 when compiled, 0 on the python
+    fallback, so a dump says which path ran and why.
+    """
+    for ix in indexes:
+        metrics.gauge("native.active", path="search", reason=ix.native_reason).set(
+            int(ix.native_search_active)
+        )
+        metrics.gauge("native.active", path="build", reason=ix.native_build_reason).set(
+            int(ix.native_build_active)
+        )
+    return metrics
+
+
 def run_build(config: SystemConfig, X: np.ndarray, metadata=None) -> BuildOutput:
     """Simulate the whole construction; return materialized partitions.
 
@@ -234,9 +251,7 @@ def run_build(config: SystemConfig, X: np.ndarray, metadata=None) -> BuildOutput
     metrics.counter("hnsw.build.shrink_ops").inc(
         sum(getattr(ix, "n_shrink_ops", 0) for ix in real_indexes)
     )
-    metrics.gauge("hnsw.build.native_build_active").set(
-        int(any(getattr(ix, "native_build_active", False) for ix in real_indexes))
-    )
+    record_native_paths(metrics, real_indexes)
     return BuildOutput(
         router=router,
         partitions=partitions,

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.build import BuildOutput, run_build
 from repro.core.config import SystemConfig
 from repro.core.searcher import LocalSearcher, ModeledSearcher, RealHnswSearcher
+from repro.filtering.store import MISSING_VALUE
 from repro.runtime.report import SearchReport
 from repro.utils.validation import check_matrix
 
@@ -223,8 +224,11 @@ class DistributedANN:
         partition (the leaf its descent reaches) and inserted into that
         partition's HNSW index and point store on every replica-holding
         node.  Partition sizes drift from perfectly balanced — the same
-        behaviour a static VP split would show under inserts.  Returns the
-        assigned global ids.  Only supported with the real searcher.
+        behaviour a static VP split would show under inserts.  Inserted
+        points carry no attributes: each attribute column grows by
+        :data:`~repro.filtering.store.MISSING_VALUE`, so filtered and
+        tenant-scoped queries keep working and never return them.  Returns
+        the assigned global ids.  Only supported with the real searcher.
         """
         self._require_fitted()
         if self.config.searcher != "real":
@@ -250,6 +254,10 @@ class DistributedANN:
             part = self.partitions[pid_part]
             part.points = np.concatenate([part.points, X_new[row_idx]])
             part.ids = np.concatenate([part.ids, ids[row_idx]])
-            for i in row_idx:
-                part.index.add(X_new[i], ext_id=int(ids[i]))
+            if part.attrs:
+                fill = np.full(len(row_idx), MISSING_VALUE, dtype=np.int64)
+                part.attrs = {
+                    name: np.concatenate([col, fill]) for name, col in part.attrs.items()
+                }
+            part.index.add_items(X_new[row_idx], ids=ids[row_idx])
         return ids

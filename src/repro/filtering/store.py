@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MetadataStore", "mask_for", "selectivity"]
+__all__ = ["MISSING_VALUE", "MetadataStore", "mask_for", "selectivity"]
+
+#: attribute value of rows that carry none (points inserted after ``fit``):
+#: below every real value, so no ``eq``/``in``/``range`` clause over real
+#: values admits such a row
+MISSING_VALUE = np.iinfo(np.int64).min
 
 
 def mask_for(attrs: dict[str, np.ndarray], clauses, n_rows: int) -> np.ndarray:

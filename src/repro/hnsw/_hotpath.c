@@ -1,23 +1,24 @@
-/* Compiled hot path for the HNSW beam search (SEARCH-LAYER, paper Alg. 2).
+/* Compiled hot paths for HNSW: K-NN-SEARCH (paper Alg. 5, with the
+ * SEARCH-LAYER beam of Alg. 2) and batched INSERT (Alg. 1, with the
+ * SELECT-NEIGHBORS heuristic of Alg. 4 and link shrinking).
  *
  * The python implementation pays ~6-8 interpreter/numpy dispatches per
- * expanded node; this helper runs the whole beam-search loop in C using
- * the index's flat buffers directly (point matrix, adjacency rows, link
- * counts, epoch-stamped visited array) and two array-backed binary heaps.
+ * expanded node; these helpers run the whole loops in C on the index's
+ * flat buffers (point matrix, adjacency rows, link counts, epoch-stamped
+ * visited array) with two array-backed binary heaps.
  *
  * Bit-identity contract
  * ---------------------
- * Results must match the python path bit for bit, which means distances
- * must match numpy's float32 ``einsum("ij,ij->i", diff, diff)`` (plus
- * float32 sqrt for l2) exactly.  einsum's float32 reduction is NOT plain
- * sequential addition: on the build this repo targets it is a fixed
- * 4-lane SIMD reduction tree.  ``l2sq32`` below reproduces the exact
- * rounding sequence for dim == 32 (reverse-engineered empirically and
- * pinned by ``selfcheck``); the python side enables this helper only
- * after verifying bit-equality against einsum on random data at index
- * construction, so on any platform where the tree differs the helper is
- * simply not used.  Compile with -ffp-contract=off: a fused
- * multiply-add would change the rounding and fail the self-check.
+ * Results must match the python path bit for bit, so every l2 distance
+ * -- query->candidate and candidate<->candidate alike -- goes through
+ * ``l2sq`` below, the C twin of the repo's canonical float32 reduction
+ * (``repro.hnsw.kernels.l2sq_lanes``, the spec): 8 lanes, each summing
+ * its blocks of 8 sequentially, a zero-padded ``dim % 8`` tail, then the
+ * fixed tree (l0+l4, l1+l5, l2+l6, l3+l7) -> (r0+r2, r1+r3) -> sum; l2
+ * takes a float32 sqrt.  One code path serves every dimension.  The
+ * python side checks ``l2_batch`` against the numpy reference at load
+ * time and uses nothing here if they differ.  Compile with
+ * -ffp-contract=off: a fused multiply-add would change the rounding.
  *
  * Heap note: all (distance, id) pairs are distinct (a node is visited at
  * most once per call), so the pop order of any correct binary heap is
@@ -30,24 +31,42 @@
 
 typedef int64_t i64;
 
-/* float32 squared euclidean distance, dim 32, einsum-compatible rounding:
- * per lane l: y = s[l] + (s[4+l] + (s[8+l] + s[12+l]))
- *             R = s[16+l] + (s[20+l] + (s[24+l] + (s[28+l] + y)))
- * total: (R0 + R1) + (R2 + R3)
- */
-static inline float l2sq32(const float *restrict a, const float *restrict b)
+#define LANES 8
+
+/* canonical float32 squared euclidean distance (see the header) */
+static inline float l2sq(const float *restrict a, const float *restrict b,
+                         i64 dim)
 {
-    float s[32];
-    for (int k = 0; k < 32; k++) {
-        float d = a[k] - b[k];
-        s[k] = d * d;
+    float acc[LANES] = {0};
+    i64 k = 0;
+    for (; k + LANES <= dim; k += LANES)
+        for (int l = 0; l < LANES; l++) {
+            float d = a[k + l] - b[k + l];
+            acc[l] += d * d;
+        }
+    for (int l = 0; k + l < dim; l++) { /* tail: the padded lanes add 0 */
+        float d = a[k + l] - b[k + l];
+        acc[l] += d * d;
     }
-    float R[4];
-    for (int l = 0; l < 4; l++) {
-        float y = s[l] + (s[4 + l] + (s[8 + l] + s[12 + l]));
-        R[l] = s[16 + l] + (s[20 + l] + (s[24 + l] + (s[28 + l] + y)));
-    }
-    return (R[0] + R[1]) + (R[2] + R[3]);
+    float r0 = acc[0] + acc[4], r1 = acc[1] + acc[5];
+    float r2 = acc[2] + acc[6], r3 = acc[3] + acc[7];
+    return (r0 + r2) + (r1 + r3);
+}
+
+/* the metric distance as the python side sees it: float32, widened */
+static inline double dist(const float *a, const float *b, i64 dim,
+                          int32_t do_sqrt)
+{
+    float v = l2sq(a, b, dim);
+    return do_sqrt ? (double)sqrtf(v) : (double)v;
+}
+
+/* self-check helper: row-wise distances for bit-comparison vs numpy */
+void l2_batch(const float *A, const float *B, i64 n, i64 dim, int32_t do_sqrt,
+              float *out)
+{
+    for (i64 i = 0; i < n; i++)
+        out[i] = (float)dist(A + i * dim, B + i * dim, dim, do_sqrt);
 }
 
 /* candidates: min-heap on (d, id); results: max-heap on (d, id) with the
@@ -145,22 +164,25 @@ static void maxh_sift_down(double *hd, int32_t *hi, i64 m, double d, int32_t id)
 }
 
 /* Beam search of width ef on one layer.  Writes the result set, sorted
- * ascending by (d, id), into (rd, ri) and returns its length.  cd/ci and
- * rd/ri are caller-provided scratch with room for every push (bounded by
+ * ascending by (d, id), into (rd, ri) and returns its length.  With a
+ * row mask ``allowed`` (NULL = every row) masked nodes are evaluated and
+ * expanded like any other -- they conduct the walk -- but never enter
+ * the result set (python ``_search_layer_filtered``).  cd/ci and rd/ri
+ * are caller-provided scratch with room for every push (bounded by
  * n_points + n_in).  *evals_out receives the distance-evaluation count. */
-i64 hnsw_search_layer(const float *X, i64 dim, const int32_t *nbrs,
-                      i64 row_stride, const int32_t *cnts, i64 *stamp,
-                      i64 epoch, const float *q, const double *in_d,
-                      const int32_t *in_i, i64 n_in, i64 ef, int32_t do_sqrt,
-                      double *cd, int32_t *ci, double *rd, int32_t *ri,
-                      i64 *evals_out)
+static i64 search_layer(const float *X, i64 dim, const int32_t *nbrs,
+                        i64 row_stride, const int32_t *cnts, i64 *stamp,
+                        i64 epoch, const float *q, const double *in_d,
+                        const int32_t *in_i, i64 n_in, i64 ef,
+                        const uint8_t *allowed, int32_t do_sqrt, double *cd,
+                        int32_t *ci, double *rd, int32_t *ri, i64 *evals_out)
 {
-    (void)dim; /* l2sq32 is dim-32 only; the python side gates on this */
     i64 nc = 0, nr = 0, evals = 0;
     for (i64 t = 0; t < n_in; t++) {
         stamp[in_i[t]] = epoch;
         minh_push(cd, ci, &nc, in_d[t], in_i[t]);
-        maxh_push(rd, ri, &nr, in_d[t], in_i[t]);
+        if (!allowed || allowed[in_i[t]])
+            maxh_push(rd, ri, &nr, in_d[t], in_i[t]);
     }
     while (nc) {
         double c_dist = cd[0];
@@ -175,18 +197,17 @@ i64 hnsw_search_layer(const float *X, i64 dim, const int32_t *nbrs,
             if (stamp[nb] == epoch)
                 continue;
             stamp[nb] = epoch;
-            float d32 = l2sq32(X + (i64)nb * 32, q);
-            if (do_sqrt)
-                d32 = sqrtf(d32);
+            double d = dist(X + (i64)nb * dim, q, dim, do_sqrt);
             evals++;
-            double d = (double)d32;
-            if (nr < ef) {
-                minh_push(cd, ci, &nc, d, nb);
+            if (nr >= ef && d >= rd[0])
+                continue;
+            minh_push(cd, ci, &nc, d, nb);
+            if (allowed && !allowed[nb])
+                continue;
+            if (nr < ef)
                 maxh_push(rd, ri, &nr, d, nb);
-            } else if (d < rd[0]) {
-                minh_push(cd, ci, &nc, d, nb);
+            else
                 maxh_sift_down(rd, ri, nr, d, nb);
-            }
         }
     }
     /* heapsort: repeatedly pop the max into the freed tail slot */
@@ -215,49 +236,78 @@ i64 hnsw_search_layer(const float *X, i64 dim, const int32_t *nbrs,
     return nr;
 }
 
-/* self-check helper: batch dim-32 distances for bit-comparison vs numpy */
-void l2sq32_batch(const float *A, const float *B, i64 n, int32_t do_sqrt,
-                  float *out)
+/* Greedy search with beam 1 on one layer (upper-layer descent). */
+static void greedy_step(const float *X, i64 dim, const int32_t *nbrs,
+                        i64 stride, const int32_t *cnts, const float *q,
+                        int32_t do_sqrt, i64 *ep_io, double *epd_io,
+                        i64 *evals)
 {
-    for (i64 i = 0; i < n; i++) {
-        float v = l2sq32(A + i * 32, B + i * 32);
-        out[i] = do_sqrt ? sqrtf(v) : v;
+    i64 ep = *ep_io;
+    double epd = *epd_io;
+    for (;;) {
+        i64 cnt = cnts[ep];
+        if (!cnt)
+            break;
+        const int32_t *row = nbrs + ep * stride;
+        double best = 0.0;
+        i64 bj = -1;
+        for (i64 j = 0; j < cnt; j++) {
+            double d = dist(X + (i64)row[j] * dim, q, dim, do_sqrt);
+            if (bj < 0 || d < best) { /* strict < == np.argmin first-index */
+                best = d;
+                bj = j;
+            }
+        }
+        *evals += cnt;
+        if (best < epd) {
+            ep = row[bj];
+            epd = best;
+        } else {
+            break;
+        }
     }
+    *ep_io = ep;
+    *epd_io = epd;
 }
 
-/* ====================================================================
- * Native insert path (INSERT, paper Alg. 1): greedy descent, beam
- * search, neighbor selection (SELECT-NEIGHBORS, simple or Alg. 4
- * heuristic) and link shrinking, batched over many points per call.
- *
- * Second bit-identity contract: the python selection/shrink paths
- * compute pairwise candidate distances through scipy's cdist on the
- * float32 point rows, which accumulates (double(a)-double(b))^2
- * sequentially in double and (for l2) takes the sqrt in double.
- * ``l2d32`` reproduces that exactly (pinned by ``l2d32_batch`` against
- * cdist at load time), so keep/discard decisions match the python
- * heuristic bit for bit.  Query->candidate distances stay on the
- * float32 einsum kernel (``l2sq32``), exactly like the python side.
- * ==================================================================== */
+#define LEVEL_NBRS(lv) ((int32_t *)(intptr_t)nbrs_ptrs[lv])
+#define LEVEL_CNTS(lv) ((int32_t *)(intptr_t)cnts_ptrs[lv])
 
-/* double-accumulation dim-32 distance, cdist-compatible rounding */
-static inline double l2d32(const float *restrict a, const float *restrict b,
-                           int32_t do_sqrt)
+/* K-NN-SEARCH for nq queries: the entry distance, greedy descent through
+ * levels max_level..1 (never masked), then the layer-0 beam of width ef
+ * under the optional row mask.  Row t's min(k, found) closest pairs go
+ * to D[t*k..] / I[t*k..] as internal ids; the caller pre-fills the
+ * padding.  nbrs_ptrs/strides/cnts_ptrs hold the per-level array
+ * addresses; epoch and the eval count are passed by reference. */
+void hnsw_knn_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
+                    const i64 *strides, const i64 *cnts_ptrs, i64 max_level,
+                    i64 entry, const float *Q, i64 nq, i64 k, i64 ef,
+                    const uint8_t *allowed, int32_t do_sqrt, i64 *stamp,
+                    i64 *epoch_io, double *cd, int32_t *ci, double *rd,
+                    int32_t *ri, double *D, i64 *I, i64 *evals_io)
 {
-    double acc = 0.0;
-    for (int k = 0; k < 32; k++) {
-        double d = (double)a[k] - (double)b[k];
-        acc += d * d;
+    i64 epoch = *epoch_io, evals = 0;
+    for (i64 t = 0; t < nq; t++) {
+        const float *q = Q + t * dim;
+        i64 ep = entry;
+        double epd = dist(X + ep * dim, q, dim, do_sqrt);
+        evals++;
+        for (i64 lv = max_level; lv > 0; lv--)
+            greedy_step(X, dim, LEVEL_NBRS(lv), strides[lv], LEVEL_CNTS(lv),
+                        q, do_sqrt, &ep, &epd, &evals);
+        int32_t in_i = (int32_t)ep;
+        i64 ev = 0;
+        i64 nres = search_layer(X, dim, LEVEL_NBRS(0), strides[0],
+                                LEVEL_CNTS(0), stamp, ++epoch, q, &epd, &in_i,
+                                1, ef, allowed, do_sqrt, cd, ci, rd, ri, &ev);
+        evals += ev;
+        for (i64 j = 0; j < nres && j < k; j++) {
+            D[t * k + j] = rd[j];
+            I[t * k + j] = ri[j];
+        }
     }
-    return do_sqrt ? sqrt(acc) : acc;
-}
-
-/* self-check helper: batch cdist-style distances for bit-comparison */
-void l2d32_batch(const float *A, const float *B, i64 n, int32_t do_sqrt,
-                 double *out)
-{
-    for (i64 i = 0; i < n; i++)
-        out[i] = l2d32(A + i * 32, B + i * 32, do_sqrt);
+    *epoch_io = epoch;
+    *evals_io += evals;
 }
 
 /* SELECT-NEIGHBORS over n candidates pre-sorted ascending by (d, id).
@@ -272,7 +322,7 @@ void l2d32_batch(const float *A, const float *B, i64 n, int32_t do_sqrt,
  * pairwise distances (only positions after the row's owner are ever
  * read, matching the lazy row kernel); ``flags`` marks kept
  * positions. */
-static i64 select_links(const float *X, const double *cand_d,
+static i64 select_links(const float *X, i64 dim, const double *cand_d,
                         const int32_t *cand_i, i64 n, i64 m,
                         int32_t heuristic, int32_t keep_pruned,
                         int32_t do_sqrt, double *rows, i64 row_stride,
@@ -305,10 +355,10 @@ static i64 select_links(const float *X, const double *cand_d,
             continue;
         }
         flags[i] = 1;
-        const float *xi = X + (i64)cand_i[i] * 32;
+        const float *xi = X + (i64)cand_i[i] * dim;
         for (i64 j = i + 1; j < n; j++)
             rows[kept * row_stride + j] =
-                l2d32(xi, X + (i64)cand_i[j] * 32, do_sqrt);
+                dist(xi, X + (i64)cand_i[j] * dim, dim, do_sqrt);
         kept++;
     }
     i64 backfill = (keep_pruned && kept < m) ? m - kept : 0;
@@ -330,20 +380,17 @@ static i64 select_links(const float *X, const double *cand_d,
  * (python _shrink).  Charges the same logical eval count as the
  * python paths: cnt query distances plus, under the heuristic, the
  * cnt-candidate cross matrix. */
-static void shrink_node(const float *X, int32_t *nrow, int32_t *cnts, i64 c,
-                        i64 limit, int32_t heuristic, int32_t keep_pruned,
-                        int32_t do_sqrt, double *tmp_d, int32_t *tmp_i,
-                        double *rows, i64 row_stride, uint8_t *flags,
-                        double *out_d, int32_t *out_i, i64 *evals,
-                        i64 *shrinks)
+static void shrink_node(const float *X, i64 dim, int32_t *nrow, int32_t *cnts,
+                        i64 c, i64 limit, int32_t heuristic,
+                        int32_t keep_pruned, int32_t do_sqrt, double *tmp_d,
+                        int32_t *tmp_i, double *rows, i64 row_stride,
+                        uint8_t *flags, double *out_d, int32_t *out_i,
+                        i64 *evals, i64 *shrinks)
 {
     i64 cnt = cnts[c];
-    const float *xc = X + c * 32;
+    const float *xc = X + c * dim;
     for (i64 j = 0; j < cnt; j++) {
-        float d32 = l2sq32(xc, X + (i64)nrow[j] * 32);
-        if (do_sqrt)
-            d32 = sqrtf(d32);
-        tmp_d[j] = (double)d32;
+        tmp_d[j] = dist(xc, X + (i64)nrow[j] * dim, dim, do_sqrt);
         tmp_i[j] = nrow[j];
     }
     *evals += heuristic ? cnt + cnt * (cnt - 1) / 2 : cnt;
@@ -360,48 +407,13 @@ static void shrink_node(const float *X, int32_t *nrow, int32_t *cnts, i64 c,
         tmp_d[p + 1] = d;
         tmp_i[p + 1] = id;
     }
-    i64 m_out = select_links(X, tmp_d, tmp_i, cnt, limit, heuristic,
+    i64 m_out = select_links(X, dim, tmp_d, tmp_i, cnt, limit, heuristic,
                              keep_pruned, do_sqrt, rows, row_stride, flags,
                              out_d, out_i);
     for (i64 j = 0; j < m_out; j++)
         nrow[j] = out_i[j];
     cnts[c] = (int32_t)m_out;
     (*shrinks)++;
-}
-
-/* Greedy search with beam 1 on one layer (upper-layer descent). */
-static void greedy_step(const float *X, const int32_t *nbrs, i64 stride,
-                        const int32_t *cnts, const float *q, int32_t do_sqrt,
-                        i64 *ep_io, double *epd_io, i64 *evals)
-{
-    i64 ep = *ep_io;
-    double epd = *epd_io;
-    for (;;) {
-        i64 cnt = cnts[ep];
-        if (!cnt)
-            break;
-        const int32_t *row = nbrs + ep * stride;
-        float best = 0.0f;
-        i64 bj = -1;
-        for (i64 j = 0; j < cnt; j++) {
-            float d = l2sq32(X + (i64)row[j] * 32, q);
-            if (do_sqrt)
-                d = sqrtf(d);
-            if (bj < 0 || d < best) { /* strict < == np.argmin first-index */
-                best = d;
-                bj = j;
-            }
-        }
-        *evals += cnt;
-        if ((double)best < epd) {
-            ep = row[bj];
-            epd = (double)best;
-        } else {
-            break;
-        }
-    }
-    *ep_io = ep;
-    *epd_io = epd;
 }
 
 /* Batched INSERT: points n_start..n_start+n_new-1 already stored in X
@@ -412,8 +424,8 @@ static void greedy_step(const float *X, const int32_t *nbrs, i64 stride,
  * rows/flags and the tmp/ch/sh pairs serve selection and shrinking.  epoch,
  * entry, eval and shrink counters are passed by reference so the
  * python side stays the single source of truth between calls. */
-i64 hnsw_insert_batch(const float *X, const int32_t *node_level, i64 n_start,
-                      i64 n_new, const int32_t *new_levels,
+i64 hnsw_insert_batch(const float *X, i64 dim, const int32_t *node_level,
+                      i64 n_start, i64 n_new, const int32_t *new_levels,
                       const i64 *nbrs_ptrs, const i64 *strides,
                       const i64 *cnts_ptrs, i64 M, i64 M0, i64 efc,
                       int32_t heuristic, int32_t keep_pruned, int32_t do_sqrt,
@@ -432,39 +444,33 @@ i64 hnsw_insert_batch(const float *X, const int32_t *node_level, i64 n_start,
             entry = node;
             continue;
         }
-        const float *q = X + node * 32;
+        const float *q = X + node * dim;
         i64 ep = entry;
         i64 top = node_level[ep];
-        float d0 = l2sq32(q, X + ep * 32);
-        if (do_sqrt)
-            d0 = sqrtf(d0);
+        double epd = dist(q, X + ep * dim, dim, do_sqrt);
         evals++;
-        double epd = (double)d0;
 
         /* phase 1: greedy descent through layers above the insert level */
         for (i64 lv = top; lv > level; lv--)
-            greedy_step(X, (const int32_t *)(intptr_t)nbrs_ptrs[lv],
-                        strides[lv], (const int32_t *)(intptr_t)cnts_ptrs[lv],
+            greedy_step(X, dim, LEVEL_NBRS(lv), strides[lv], LEVEL_CNTS(lv),
                         q, do_sqrt, &ep, &epd, &evals);
 
         /* phase 2: beam search + connect on layers min(top, level)..0 */
         i64 start = top < level ? top : level;
         for (i64 lv = start; lv >= 0; lv--) {
-            int32_t *nbrs = (int32_t *)(intptr_t)nbrs_ptrs[lv];
-            int32_t *cnts = (int32_t *)(intptr_t)cnts_ptrs[lv];
+            int32_t *nbrs = LEVEL_NBRS(lv);
+            int32_t *cnts = LEVEL_CNTS(lv);
             i64 stride = strides[lv];
             i64 limit = lv == 0 ? M0 : M;
-            epoch++;
-            double in_d = epd;
             int32_t in_i = (int32_t)ep;
             i64 ev = 0;
-            i64 nres = hnsw_search_layer(X, 32, nbrs, stride, cnts, stamp,
-                                         epoch, q, &in_d, &in_i, 1, efc,
-                                         do_sqrt, cd, ci, rd, ri, &ev);
+            i64 nres = search_layer(X, dim, nbrs, stride, cnts, stamp, ++epoch,
+                                    q, &epd, &in_i, 1, efc, 0, do_sqrt, cd,
+                                    ci, rd, ri, &ev);
             evals += ev;
             if (heuristic) /* the python _select charge for the cross matrix */
                 evals += nres * (nres - 1) / 2;
-            i64 nch = select_links(X, rd, ri, nres, limit, heuristic,
+            i64 nch = select_links(X, dim, rd, ri, nres, limit, heuristic,
                                    keep_pruned, do_sqrt, rows, row_stride,
                                    flags, ch_d, ch_i);
             for (i64 t = 0; t < nch; t++)
@@ -476,7 +482,7 @@ i64 hnsw_insert_batch(const float *X, const int32_t *node_level, i64 n_start,
                 nbrs[c * stride + cc] = (int32_t)node;
                 cnts[c] = (int32_t)(cc + 1);
                 if (cc + 1 > limit)
-                    shrink_node(X, nbrs + c * stride, cnts, c, limit,
+                    shrink_node(X, dim, nbrs + c * stride, cnts, c, limit,
                                 heuristic, keep_pruned, do_sqrt, tmp_d, tmp_i,
                                 rows, row_stride, flags, sh_d, sh_i, &evals,
                                 &shrinks);

@@ -45,14 +45,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.hnsw.kernels import (
-    buffered_cross_row_for,
+    ROW_EXACT_METRICS,
     buffered_kernel_for,
-    fast_cross_row_for,
     fast_kernel_for,
     fast_self_pairwise_for,
-    fast_self_row_for,
 )
-from repro.hnsw.native import native_build_for, native_search_layer_for
+from repro.hnsw.native import NATIVE_METRICS, native_for
 from repro.hnsw.params import HnswParams
 from repro.hnsw.select import select_heuristic, select_heuristic_rows, select_simple
 from repro.metrics import Metric, get_metric
@@ -117,31 +115,21 @@ class HnswIndex:
         # which dominates build time (profiling-driven, per the HPC guides).
         self._fast_kernel = fast_kernel_for(self.metric.name)
         self._fast_self_pairwise = fast_self_pairwise_for(self.metric.name)
-        self._fast_self_row = fast_self_row_for(self.metric.name)
-        self._fast_cross_row = fast_cross_row_for(self.metric.name)
+        self._row_exact = self.metric.name in ROW_EXACT_METRICS
         # allocation-free traversal kernel; degree cap bounds the row count
         self._buf_kernel = buffered_kernel_for(
             self.metric.name, dim, self.params.M0 + 1
         )
-        self._buf_cross_row = buffered_cross_row_for(
-            self.metric.name, dim, self.params.M0 + 1
-        )
-        # Compiled SEARCH-LAYER (see _hotpath.c): enabled only after a
-        # runtime self-check proves the C distance kernel bit-identical to
-        # the numpy kernels for this metric/dim; otherwise None and every
-        # traversal stays on the python path below.
-        self._native = native_search_layer_for(self.metric.name, dim)
-        self._native_sqrt = 1 if self.metric.name == "l2" else 0
+        # Compiled K-NN-SEARCH and INSERT (see _hotpath.c): enabled only
+        # after a runtime self-check proves the C kernel bit-identical to
+        # the numpy reference; otherwise None, and ``native_reason`` says
+        # why every operation stays on the python paths below.
+        self._native, self.native_reason = native_for(self.metric.name)
+        self._native_sqrt = NATIVE_METRICS.get(self.metric.name, 0)
         self._native_scratch: tuple | None = None
-        # Compiled INSERT (greedy descent + beam search + selection +
-        # shrink in one C call per batch): additionally requires the
-        # cdist-compatible double kernel to pass its self-check, and
-        # candidate extension off (that path walks python-side sets).
-        self._native_build = (
-            native_build_for(self.metric.name, dim)
-            if not self.params.extend_candidates
-            else None
-        )
+        self._level_ptrs_cache: tuple | None = None
+        # candidate extension walks python-side sets: build stays python
+        self._native_build = None if self.params.extend_candidates else self._native
         self._native_build_scratch: dict | None = None
         # Incremental shrink cache (see _shrink): per level, node ->
         # (ids, dists, kept_flags, kept_rows, kept_positions) describing the
@@ -151,7 +139,7 @@ class HnswIndex:
         self._shrink_caching = (
             self.params.select_heuristic
             and not self.params.extend_candidates
-            and self._fast_cross_row is not None
+            and self._row_exact
         )
         self._shrink_cache: list[dict[int, tuple]] = []
         self._shrink_cache_cap: list[int] = []
@@ -177,8 +165,15 @@ class HnswIndex:
 
     @property
     def native_build_active(self) -> bool:
-        """True when the compiled INSERT path passed its bit-identity gates."""
+        """True when the compiled INSERT path passed its bit-identity gate."""
         return self._native_build is not None
+
+    @property
+    def native_build_reason(self) -> str:
+        """Why the INSERT path is (``"ok"``) or is not compiled."""
+        if self.native_reason == "ok" and self.params.extend_candidates:
+            return "extend_candidates"
+        return self.native_reason
 
     def neighbors(self, node: int, level: int) -> list[int]:
         """Adjacency list of ``node`` at ``level`` (internal ids)."""
@@ -243,6 +238,7 @@ class HnswIndex:
             cnts = np.zeros(cap, dtype=np.int32)
             cnts[:n] = self._cnts[lv][:n]
             self._nbrs[lv], self._cnts[lv] = nbrs, cnts
+        self._level_ptrs_cache = None
 
     def _ensure_level(self, level: int) -> None:
         cap = self._X.shape[0]
@@ -250,6 +246,7 @@ class HnswIndex:
             limit = self.params.M0 if len(self._nbrs) == 0 else self.params.M
             self._nbrs.append(np.empty((cap, limit + 1), dtype=np.int32))
             self._cnts.append(np.zeros(cap, dtype=np.int32))
+            self._level_ptrs_cache = None
             self._shrink_cache.append({})
             # bound each level's cache memory (entries are O(limit^2) floats)
             self._shrink_cache_cap.append(max(1024, (1 << 28) // (8 * (limit + 1) ** 2)))
@@ -363,17 +360,15 @@ class HnswIndex:
         self._n = n0 + n_new
         self._ensure_level(int(levels.max()))
 
-        lib = self._native_build
-        nbrs_ptrs = np.array([a.ctypes.data for a in self._nbrs], dtype=np.int64)
-        strides = np.array([a.shape[1] for a in self._nbrs], dtype=np.int64)
-        cnts_ptrs = np.array([a.ctypes.data for a in self._cnts], dtype=np.int64)
+        nbrs_ptrs, strides, cnts_ptrs = self._level_ptrs()
         sc = self._build_scratch(self._n)
         epoch_io = np.array([self._visit_epoch], dtype=np.int64)
         entry_io = np.array([-1 if self._entry is None else self._entry], dtype=np.int64)
         evals_out = np.zeros(1, dtype=np.int64)
         shrinks_out = np.zeros(1, dtype=np.int64)
-        lib.hnsw_insert_batch(
+        self._native_build.hnsw_insert_batch(
             self._X.ctypes.data,
+            self.dim,
             self._node_level.ctypes.data,
             n0,
             n_new,
@@ -411,6 +406,18 @@ class HnswIndex:
         self.n_dist_evals += int(evals_out[0])
         self.n_shrink_ops += int(shrinks_out[0])
 
+    def _level_ptrs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-level adjacency addresses, row strides and count addresses
+        for the C helpers; cached until ``_grow``/``_ensure_level``
+        reallocate the buffers."""
+        if self._level_ptrs_cache is None:
+            self._level_ptrs_cache = (
+                np.array([a.ctypes.data for a in self._nbrs], dtype=np.int64),
+                np.array([a.shape[1] for a in self._nbrs], dtype=np.int64),
+                np.array([a.ctypes.data for a in self._cnts], dtype=np.int64),
+            )
+        return self._level_ptrs_cache
+
     def _build_scratch(self, need_n: int) -> dict:
         """Reusable scratch for the compiled INSERT batch.
 
@@ -447,7 +454,7 @@ class HnswIndex:
         ``d_nx`` is the already-computed distance between ``node`` and the
         link just appended (the inserting point), when the caller has it;
         for the kernels the cache supports it is bit-identical to
-        recomputing (the einsum/cdist formulas are symmetric in their
+        recomputing (the canonical l2 reduction is symmetric in its
         arguments and row-independent).
 
         A shrink fires on every link append past ``limit`` — ~M0 times per
@@ -455,8 +462,8 @@ class HnswIndex:
         over ``limit + 1`` candidates of which ``limit`` were already
         selected last time.  When selection depends only on the candidate
         list (heuristic on, no candidate extension) and the metric admits
-        bit-identical single-pair recomputation (cdist-backed
-        l2/sqeuclidean), the previous round's decisions are provably
+        bit-identical single-pair recomputation (the canonical
+        l2/sqeuclidean kernel), the previous round's decisions are provably
         reusable: dropping non-kept candidates removes no comparison
         source, so every keep/discard decision before the new link's
         sorted position — and, if the new link is discarded or dominates
@@ -493,7 +500,7 @@ class HnswIndex:
         else:
             dists = self.metric.one_to_many(self._X[node], self._X[nbrs])
         cands = list(zip(dists.tolist(), nbrs.tolist()))
-        chosen = self._select(self._X[node], cands, limit, level)
+        chosen = self._select(self._X[node], cands, limit, level, exclude=node)
         for j, (_, c) in enumerate(chosen):
             row[j] = c
         self._cnts[level][node] = len(chosen)
@@ -607,7 +614,7 @@ class HnswIndex:
         p = bisect_left(pairs, (d_x, x))
         # distances x -> cached candidates; bit-identical to the rows/cols
         # the full pairwise matrix would hold for these pairs
-        cv = self._buf_cross_row(X, X[x : x + 1], ids).tolist()
+        cv = self._fast_kernel(X[x], X[ids]).tolist()
         x_kept = True
         x_dom = None
         for pos in range(p):
@@ -692,12 +699,21 @@ class HnswIndex:
         candidates: list[tuple[float, int]],
         m: int,
         level: int,
+        exclude: int | None = None,
     ) -> list[tuple[float, int]]:
+        """SELECT-NEIGHBORS for ``q`` among ``candidates``.
+
+        ``exclude`` is the node whose list is being re-selected (a shrink):
+        candidate extension must not pull it in from its own neighbors'
+        lists, or it would be kept at distance 0 and, by the heuristic,
+        dominate every other candidate.
+        """
         if not self.params.select_heuristic:
             return select_simple(candidates, m)
         cands = sorted(candidates)
         if self.params.extend_candidates:
             seen = {c for _, c in cands}
+            seen.add(exclude)
             extras: list[int] = []
             nbrs, cnts = self._nbrs[level], self._cnts[level]
             for _, c in list(cands):
@@ -714,16 +730,16 @@ class HnswIndex:
         n = len(ids)
         self.n_dist_evals += n * (n - 1) // 2
         sub = self._X[ids]
-        row_kernel = self._fast_self_row
-        if row_kernel is not None and n >= 64:
+        if self._row_exact and n >= 64:
             # Large candidate sets (the per-insert ef_construction beam)
             # keep only ~M of n rows: compute just those, lazily.  The row
             # kernel is bit-identical to the matrix row, and virtual time
             # was already charged for the full n^2/2 above.
+            kernel = self._fast_kernel
             return select_heuristic_rows(
                 cands,
                 m,
-                lambda i: row_kernel(sub, i),
+                lambda i: kernel(sub[i], sub).tolist(),
                 keep_pruned=self.params.keep_pruned,
             )
         if self._fast_self_pairwise is not None:
@@ -778,8 +794,6 @@ class HnswIndex:
         ``heapq`` lists with the exact tuple ordering of the pre-refactor
         ``MinHeap``/``MaxHeap``; the visited set is the epoch-stamped array.
         """
-        if self._native is not None:
-            return self._search_layer_native(q, entry, ef, level)
         nbrs, cnts = self._nbrs[level], self._cnts[level]
         X = self._X
         stamp = self._visit_stamp
@@ -842,61 +856,6 @@ class HnswIndex:
         self.n_dist_evals += n_evals
         return sorted([(-d, n) for d, n in results])
 
-    def _search_layer_native(
-        self,
-        q: np.ndarray,
-        entry: list[tuple[float, int]],
-        ef: int,
-        level: int,
-    ) -> list[tuple[float, int]]:
-        """SEARCH-LAYER via the compiled helper; bit-identical by contract.
-
-        Same loop as :meth:`_search_layer` (frontier min-heap, bounded
-        result max-heap, epoch stamps, strict bound tests), executed in C
-        on the index's flat buffers.  The scratch heaps are sized so every
-        possible push fits (``n`` fresh nodes + the entry set) and are
-        reused across calls.
-        """
-        nbrs, cnts = self._nbrs[level], self._cnts[level]
-        self._visit_epoch += 1
-        n_in = len(entry)
-        need = self._n + n_in + 8
-        scratch = self._native_scratch
-        if scratch is None or len(scratch[0]) < need:
-            scratch = (
-                np.empty(need, dtype=np.float64),
-                np.empty(need, dtype=np.int32),
-                np.empty(need, dtype=np.float64),
-                np.empty(need, dtype=np.int32),
-                np.empty(1, dtype=np.int64),
-            )
-            self._native_scratch = scratch
-        cd, ci, rd, ri, ev = scratch
-        in_d = np.array([p[0] for p in entry], dtype=np.float64)
-        in_i = np.array([p[1] for p in entry], dtype=np.int32)
-        m = self._native.hnsw_search_layer(
-            self._X.ctypes.data,
-            self.dim,
-            nbrs.ctypes.data,
-            nbrs.shape[1],
-            cnts.ctypes.data,
-            self._visit_stamp.ctypes.data,
-            self._visit_epoch,
-            q.ctypes.data,
-            in_d.ctypes.data,
-            in_i.ctypes.data,
-            n_in,
-            ef,
-            self._native_sqrt,
-            cd.ctypes.data,
-            ci.ctypes.data,
-            rd.ctypes.data,
-            ri.ctypes.data,
-            ev.ctypes.data,
-        )
-        self.n_dist_evals += int(ev[0])
-        return list(zip(rd[:m].tolist(), ri[:m].tolist()))
-
     def knn_search(
         self,
         query: np.ndarray,
@@ -918,40 +877,85 @@ class HnswIndex:
         if self._n == 0:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
         ef = max(ef or self.params.ef_search, k)
-        if filter is None:
-            return self._search_prepared(q, k, ef)
-        return self._search_prepared_filtered(
-            q, k, ef, check_filter_mask(filter, self._n)
-        )
+        mask = None if filter is None else check_filter_mask(filter, self._n)
+        if self._native is not None:
+            D, I, found = self._knn_native(q[np.newaxis, :], k, ef, mask)
+            n = int(np.count_nonzero(found))
+            return D[0, :n], I[0, :n]
+        return self._search_prepared(q, k, ef, mask)
 
-    def _search_prepared(self, q: np.ndarray, k: int, ef: int) -> tuple[np.ndarray, np.ndarray]:
-        """K-NN-SEARCH (paper Alg. 5) for a validated query and effective ef."""
-        ep = self._entry
-        ep_dist = self._dist_one(q, ep)
-        for lv in range(self.max_level, 0, -1):
-            ep, ep_dist = self._greedy_step(q, ep, ep_dist, lv)
-        pairs = self._search_layer(q, [(ep_dist, ep)], ef, 0)[:k]
-        d = np.array([p[0] for p in pairs], dtype=np.float64)
-        ids = np.array([self._ext[p[1]] for p in pairs], dtype=np.int64)
-        return d, ids
-
-    def _search_prepared_filtered(
-        self, q: np.ndarray, k: int, ef: int, allowed: np.ndarray
+    def _search_prepared(
+        self, q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """K-NN-SEARCH restricted to ``allowed`` rows.
+        """K-NN-SEARCH (paper Alg. 5) for a validated query and effective ef.
 
-        The upper-layer greedy descent is unfiltered (it only picks the
-        layer-0 entry point, which need not match); the layer-0 beam runs
-        the filtered SEARCH-LAYER variant.
+        With a row mask ``allowed`` the upper-layer greedy descent stays
+        unfiltered (it only picks the layer-0 entry point, which need not
+        match) and the layer-0 beam runs the filtered SEARCH-LAYER variant.
         """
         ep = self._entry
         ep_dist = self._dist_one(q, ep)
         for lv in range(self.max_level, 0, -1):
             ep, ep_dist = self._greedy_step(q, ep, ep_dist, lv)
-        pairs = self._search_layer_filtered(q, [(ep_dist, ep)], ef, 0, allowed)[:k]
+        if allowed is None:
+            pairs = self._search_layer(q, [(ep_dist, ep)], ef, 0)[:k]
+        else:
+            pairs = self._search_layer_filtered(q, [(ep_dist, ep)], ef, 0, allowed)[:k]
         d = np.array([p[0] for p in pairs], dtype=np.float64)
         ids = np.array([self._ext[p[1]] for p in pairs], dtype=np.int64)
         return d, ids
+
+    def _knn_native(
+        self, Q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """K-NN-SEARCH for every row of ``Q`` in one compiled call.
+
+        The same traversal as :meth:`_search_prepared` (entry distance,
+        unfiltered greedy descent, optionally masked layer-0 beam), so the
+        results and the ``n_dist_evals`` charge are identical.  Returns
+        the padded ``(D, I)`` of :meth:`knn_search_batch` plus the mask of
+        filled slots.  The scratch heaps fit every possible push (each
+        node at most once, plus the entry) and are reused across calls.
+        """
+        nq = Q.shape[0]
+        D = np.full((nq, k), np.inf, dtype=np.float64)
+        I = np.full((nq, k), -1, dtype=np.int64)
+        if allowed is not None:
+            allowed = np.ascontiguousarray(allowed)  # held across the call
+        need = self._n + 8
+        sc = self._native_scratch
+        if sc is None or len(sc[0]) < need:
+            sc = tuple(np.empty(need, dtype=t) for t in (np.float64, np.int32) * 2)
+            self._native_scratch = sc
+        nbrs_ptrs, strides, cnts_ptrs = self._level_ptrs()
+        epoch_io = np.array([self._visit_epoch], dtype=np.int64)
+        evals_io = np.zeros(1, dtype=np.int64)
+        self._native.hnsw_knn_batch(
+            self._X.ctypes.data,
+            self.dim,
+            nbrs_ptrs.ctypes.data,
+            strides.ctypes.data,
+            cnts_ptrs.ctypes.data,
+            self.max_level,
+            self._entry,
+            Q.ctypes.data,
+            nq,
+            k,
+            ef,
+            None if allowed is None else allowed.ctypes.data,
+            self._native_sqrt,
+            self._visit_stamp.ctypes.data,
+            epoch_io.ctypes.data,
+            *(a.ctypes.data for a in sc),
+            D.ctypes.data,
+            I.ctypes.data,
+            evals_io.ctypes.data,
+        )
+        self._visit_epoch = int(epoch_io[0])
+        self.n_dist_evals += int(evals_io[0])
+        found = I >= 0
+        I[found] = self._ext[I[found]]
+        return D, I, found
 
     def _search_layer_filtered(
         self,
@@ -972,8 +976,8 @@ class HnswIndex:
         connectivity at the cost of extra evaluations (which
         ``n_dist_evals`` charges normally).  Until ``ef`` matching nodes
         are found the result bound is infinite, so no expansion is cut
-        short early.  Always the python path — the compiled SEARCH-LAYER
-        has no mask support.
+        short early.  The compiled beam (``search_layer`` in
+        ``_hotpath.c``) implements the same rule under its ``allowed`` mask.
         """
         nbrs, cnts = self._nbrs[level], self._cnts[level]
         X = self._X
@@ -1058,11 +1062,10 @@ class HnswIndex:
             return D, I
         ef_eff = max(ef or self.params.ef_search, k)
         mask = None if filter is None else check_filter_mask(filter, self._n)
+        if self._native is not None:
+            return self._knn_native(Q, k, ef_eff, mask)[:2]
         for i in range(nq):
-            if mask is None:
-                d, ids = self._search_prepared(Q[i], k, ef_eff)
-            else:
-                d, ids = self._search_prepared_filtered(Q[i], k, ef_eff, mask)
+            d, ids = self._search_prepared(Q[i], k, ef_eff, mask)
             D[i, : len(d)] = d
             I[i, : len(ids)] = ids
         return D, I

@@ -6,6 +6,11 @@ dominates (profiling-driven, per the HPC guides).  For the metrics whose
 formula we can inline — ``l2``, ``sqeuclidean``, ``ip``, and ``cosine`` —
 these kernels operate directly on the index's float32 point buffer.
 
+``l2``/``sqeuclidean`` use the repo's one canonical float32 reduction
+(:func:`l2sq_lanes`), which is the specification the compiled kernel in
+``_hotpath.c`` reproduces bit for bit at every dimension.  ``ip`` and
+``cosine`` stay on BLAS products.
+
 Shared by :class:`~repro.hnsw.index.HnswIndex` (the flat production
 backend) and :class:`~repro.hnsw.reference.ReferenceHnswIndex` (the
 dict-based test oracle), so the two backends are bit-identical by
@@ -16,37 +21,60 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fast_kernel_for", "fast_self_pairwise_for"]
+__all__ = [
+    "LANES",
+    "ROW_EXACT_METRICS",
+    "l2sq_lanes",
+    "fast_kernel_for",
+    "fast_self_pairwise_for",
+]
 
 _EPS32 = np.float32(1e-30)
 
-try:  # scipy's cdist fast path, minus the per-call validation wrapper
-    from scipy.spatial._distance_pybind import (
-        cdist_euclidean as _cdist_euclidean,
-        cdist_sqeuclidean as _cdist_sqeuclidean,
-    )
-except ImportError:  # pragma: no cover - older/newer scipy layout
-    from scipy.spatial.distance import cdist as _cdist
+#: accumulator lanes of the canonical l2 reduction
+LANES = 8
 
-    def _cdist_euclidean(a, b):
-        return _cdist(a, b)
+#: metrics on the canonical reduction: every distance is computed on its
+#: own (no BLAS blocking), so one row of the pairwise matrix equals the
+#: one-to-many kernel over the same rows, entry for entry, and
+#: ``d(a, b) == d(b, a)`` exactly — the properties lazy selection rows and
+#: the incremental shrink cache rely on
+ROW_EXACT_METRICS = ("l2", "sqeuclidean")
 
-    def _cdist_sqeuclidean(a, b):
-        return _cdist(a, b, "sqeuclidean")
 
-try:  # np.einsum minus its argument-parsing wrapper; same C routine
-    from numpy._core._multiarray_umath import c_einsum as _einsum
-except ImportError:  # pragma: no cover - older numpy layout
-    _einsum = np.einsum
+def l2sq_lanes(diff: np.ndarray) -> np.ndarray:
+    """The canonical float32 squared norm over the last axis of ``diff``.
+
+    The squares are summed in ``LANES`` = 8 float32 lanes: element ``j``
+    goes to lane ``j % 8``, and each lane adds its blocks sequentially in
+    ascending order (a ``dim % 8`` tail is zero-padded, which changes no
+    lane).  The lanes then meet in a fixed halving tree:
+    ``(l0+l4, l1+l5, l2+l6, l3+l7)`` -> ``(r0+r2, r1+r3)`` -> one sum.
+    ``_hotpath.c`` implements the same order; ``native.py`` checks the
+    two agree bit for bit before the compiled paths are used.
+    """
+    sq = diff * diff
+    pad = -sq.shape[-1] % LANES
+    if pad:
+        sq = np.concatenate([sq, np.zeros(sq.shape[:-1] + (pad,), np.float32)], axis=-1)
+    lead = sq.shape[:-1]
+    # block-major copy: blocks[b] is block b of every row.  numpy reduces
+    # along any axis but the fast one by adding element by element, in
+    # index order (pairwise summation only runs along the fast axis), so
+    # this adds each lane's blocks sequentially, as the spec says
+    blocks = sq.reshape(-1, sq.shape[-1] // LANES, LANES).transpose(1, 0, 2).copy()
+    acc = np.add.reduce(blocks, axis=0).reshape(lead + (LANES,))
+    r = acc[..., :4] + acc[..., 4:]
+    r = r[..., :2] + r[..., 2:]
+    return r[..., 0] + r[..., 1]
 
 
 def _l2sq_f32(q: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    diff = sub - q
-    return np.einsum("ij,ij->i", diff, diff)
+    return l2sq_lanes(sub - q)
 
 
 def _l2_f32(q: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    return np.sqrt(_l2sq_f32(q, sub))
+    return np.sqrt(l2sq_lanes(sub - q))
 
 
 def _ip_f32(q: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -59,12 +87,12 @@ def _cosine_f32(q: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return 1.0 - (sub @ q) / (ns * nq)
 
 
-def _l2_pairwise_f32(A: np.ndarray) -> np.ndarray:
-    return _cdist_euclidean(A, A)
-
-
 def _l2sq_pairwise_f32(A: np.ndarray) -> np.ndarray:
-    return _cdist_sqeuclidean(A, A)
+    return l2sq_lanes(A[:, np.newaxis, :] - A[np.newaxis, :, :])
+
+
+def _l2_pairwise_f32(A: np.ndarray) -> np.ndarray:
+    return np.sqrt(_l2sq_pairwise_f32(A))
 
 
 def _ip_pairwise_f32(A: np.ndarray) -> np.ndarray:
@@ -76,54 +104,14 @@ def _cosine_pairwise_f32(A: np.ndarray) -> np.ndarray:
     return 1.0 - (A @ A.T) / np.outer(n, n)
 
 
-def _l2_row_f32(A: np.ndarray, i: int) -> list[float]:
-    return _cdist_euclidean(A[i : i + 1], A)[0].tolist()
+class _IpBuffered:
+    """Allocation-free negative-inner-product kernel over index rows.
 
-
-def _l2sq_row_f32(A: np.ndarray, i: int) -> list[float]:
-    return _cdist_sqeuclidean(A[i : i + 1], A)[0].tolist()
-
-
-def _l2_cross_row_f32(a: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return _cdist_euclidean(a, B)[0]
-
-
-def _l2sq_cross_row_f32(a: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return _cdist_sqeuclidean(a, B)[0]
-
-
-class _L2Buffered:
-    """Allocation-free l2 kernel over index rows (traversal hot path).
-
-    ``__call__(X, rows, q)`` returns ``dist(q, X[r])`` for each row id in
-    ``rows`` — bit-identical to ``_l2_f32(q, X[rows])``, but gathering,
-    subtracting, squaring and rooting into preallocated buffers, which
-    removes four array allocations and the ``np.einsum`` parsing wrapper
-    per call.  The result is a view into an internal buffer: consume it
+    ``__call__(X, rows, q)`` returns ``-(X[rows] @ q)``, bit-identical to
+    ``_ip_f32(q, X[rows])``, gathering and multiplying into preallocated
+    buffers.  The result is a view into an internal buffer: consume it
     before the next call.
     """
-
-    __slots__ = ("_sub", "_diff", "_out", "_sq")
-
-    def __init__(self, dim: int, maxn: int, sq: bool = False) -> None:
-        self._sub = np.empty((maxn, dim), dtype=np.float32)
-        self._diff = np.empty((maxn, dim), dtype=np.float32)
-        self._out = np.empty(maxn, dtype=np.float32)
-        self._sq = sq
-
-    def __call__(self, X: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-        n = len(rows)
-        sub = self._sub[:n]
-        X.take(rows, axis=0, out=sub, mode="clip")
-        diff = self._diff[:n]
-        np.subtract(sub, q, out=diff)
-        out = self._out[:n]
-        _einsum("ij,ij->i", diff, diff, out=out)
-        return out if self._sq else np.sqrt(out, out=out)
-
-
-class _IpBuffered:
-    """Allocation-free negative-inner-product kernel; see ``_L2Buffered``."""
 
     __slots__ = ("_sub", "_out")
 
@@ -140,55 +128,14 @@ class _IpBuffered:
         return np.negative(out, out=out)
 
 
-class _CrossRowBuffered:
-    """Buffered variant of the cross-row kernel (see ``fast_cross_row_for``).
-
-    ``__call__(X, a, ids)`` gathers ``X[ids]`` into a preallocated buffer
-    and returns the cdist row ``a`` vs those rows — entry-for-entry
-    bit-identical to ``fast_cross_row_for(...)(a, X[ids])``, without the
-    fancy-index allocation per call.
-    """
-
-    __slots__ = ("_sub", "_fn")
-
-    def __init__(self, dim: int, maxn: int, sq: bool = False) -> None:
-        self._sub = np.empty((maxn, dim), dtype=np.float32)
-        self._fn = _cdist_sqeuclidean if sq else _cdist_euclidean
-
-    def __call__(self, X: np.ndarray, a: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        n = len(ids)
-        sub = self._sub[:n]
-        X.take(ids, axis=0, out=sub, mode="clip")
-        return self._fn(a, sub)[0]
-
-
-def buffered_cross_row_for(metric_name: str, dim: int, maxn: int):
-    """Stateful ``(X, a, ids) -> float64 row`` kernel, or None.
-
-    Same bit-identity contract as :func:`fast_cross_row_for`; only the
-    cdist-backed metrics qualify.
-    """
-    if metric_name == "l2":
-        return _CrossRowBuffered(dim, maxn)
-    if metric_name == "sqeuclidean":
-        return _CrossRowBuffered(dim, maxn, sq=True)
-    return None
-
-
 def buffered_kernel_for(metric_name: str, dim: int, maxn: int):
     """Stateful ``(X, rows, q) -> dists`` kernel reusing buffers, or None.
 
-    Bit-identical to ``fast_kernel_for(metric_name)(q, X[rows])`` — the
-    equivalence tests pin this — but allocation-free.  ``maxn`` bounds the
-    row-set size (the index passes its degree cap).
+    Bit-identical to ``fast_kernel_for(metric_name)(q, X[rows])`` but
+    allocation-free.  ``maxn`` bounds the row-set size (the index passes
+    its degree cap).
     """
-    if metric_name == "l2":
-        return _L2Buffered(dim, maxn)
-    if metric_name == "sqeuclidean":
-        return _L2Buffered(dim, maxn, sq=True)
-    if metric_name == "ip":
-        return _IpBuffered(dim, maxn)
-    return None
+    return _IpBuffered(dim, maxn) if metric_name == "ip" else None
 
 
 _ONE_TO_MANY = {
@@ -205,21 +152,6 @@ _SELF_PAIRWISE = {
     "cosine": _cosine_pairwise_f32,
 }
 
-# Row kernels exist only where a single row is guaranteed bit-identical to
-# the corresponding row of the full pairwise matrix.  That holds for cdist
-# (each entry is an independent pair computation) but NOT for the
-# BLAS-backed ip/cosine pairwise, where a matrix-vector product may
-# accumulate in a different order than the matrix-matrix product.
-_SELF_ROW = {
-    "l2": _l2_row_f32,
-    "sqeuclidean": _l2sq_row_f32,
-}
-
-_CROSS_ROW = {
-    "l2": _l2_cross_row_f32,
-    "sqeuclidean": _l2sq_cross_row_f32,
-}
-
 
 def fast_kernel_for(metric_name: str):
     """float32 one-to-many kernel ``(q, sub) -> dists``, or None."""
@@ -229,23 +161,3 @@ def fast_kernel_for(metric_name: str):
 def fast_self_pairwise_for(metric_name: str):
     """float32 self-pairwise kernel ``A -> (n, n) dists``, or None."""
     return _SELF_PAIRWISE.get(metric_name)
-
-
-def fast_self_row_for(metric_name: str):
-    """float32 pairwise row kernel ``(A, i) -> list``, or None.
-
-    Bit-identical to ``fast_self_pairwise_for(...)(A)[i].tolist()``; lets
-    neighbor selection skip the n² matrix when only a few rows are kept.
-    """
-    return _SELF_ROW.get(metric_name)
-
-
-def fast_cross_row_for(metric_name: str):
-    """Kernel ``(a (1, d), B (n, d)) -> float64 (n,)``, or None.
-
-    Each entry is bit-identical to the corresponding entry of the full
-    self-pairwise matrix over ``a`` stacked with ``B`` — the property the
-    incremental shrink cache relies on to extend cached pairwise rows by
-    one column.  Only cdist-backed metrics qualify (see ``_SELF_ROW``).
-    """
-    return _CROSS_ROW.get(metric_name)

@@ -1,26 +1,31 @@
 """ctypes loader for the compiled HNSW hot paths (``_hotpath.c``).
 
-Two helpers live in the shared object: the SEARCH-LAYER beam search
-(used by queries and by construction) and the full INSERT batch (greedy
-descent, beam search, neighbor selection, link shrinking).  Both are
-*optional* accelerators with a strict bit-identity contract: a helper
-is enabled only when
+Two helpers live in the shared object: the batched K-NN-SEARCH (greedy
+descent plus the layer-0 beam, optionally under a row mask) and the
+batched INSERT (greedy descent, beam search, neighbor selection, link
+shrinking).  Both are *optional* accelerators with a strict bit-identity
+contract.  Every l2 distance they compute goes through the C twin of the
+repo's canonical float32 reduction (:func:`repro.hnsw.kernels.l2sq_lanes`),
+which is the same kernel the python paths call, so one self-check covers
+everything: at load, the C kernel must match the numpy reference bit for
+bit on seeded random rows at several dimensions, with and without the
+sqrt.
 
-- a C compiler is available and the shared object builds (compiled once
-  per source hash into a per-user temp dir, reused across processes),
-- the metric is cdist-backed l2/sqeuclidean and the dimensionality is
-  one the C distance kernels reproduce exactly (currently 32, the
-  paper's descriptor width), and
-- runtime self-checks confirm the C kernels match the numpy kernels bit
-  for bit on this machine: the float32 einsum/sqrt query kernel for
-  search, plus scipy's cdist double-accumulation kernel (which the
-  python selection/shrink paths use for candidate-pairwise distances)
-  for the insert path.
+:func:`native_for` says whether the helpers can serve a metric and, if
+not, why — the reason is surfaced on every index (``native_reason``), in
+the ``native.active`` gauge and by the CLI, so no fallback is silent:
 
-On any failure the index silently stays on the pure-python paths, which
-are always correct — the helpers change wall-clock time only, never
-results or ``n_dist_evals``.  Set ``REPRO_HNSW_NO_NATIVE=1`` to force
-the python paths (the equivalence tests use this to cover both).
+- ``ok``: compiled, self-checked, in use;
+- ``metric_unsupported``: only ``l2``/``sqeuclidean`` are compiled
+  (``ip``/``cosine`` stay on BLAS);
+- ``env_hatch``: ``REPRO_HNSW_NO_NATIVE`` is set (the equivalence tests
+  use it to cover the python paths);
+- ``no_compiler``: no working C compiler, or the object failed to load;
+- ``selfcheck_failed``: the C kernel disagrees with the numpy reference
+  on this machine.
+
+Whatever the reason, the python paths give identical results and
+``n_dist_evals``; the helpers change wall-clock time only.
 """
 
 from __future__ import annotations
@@ -30,93 +35,67 @@ import os
 
 import numpy as np
 
+from repro.hnsw.kernels import l2sq_lanes
 from repro.utils.cbuild import compile_and_load
 
-__all__ = ["native_search_layer_for", "native_build_for"]
+__all__ = ["native_for", "NATIVE_METRICS"]
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hotpath.c")
 
-#: dims the C distance kernel replicates einsum's reduction tree for
-_NATIVE_DIMS = (32,)
+#: metrics the compiled kernel serves (``do_sqrt`` per metric)
+NATIVE_METRICS = {"l2": 1, "sqeuclidean": 0}
+
+#: dims the load-time self-check covers: below, at and across the lane
+#: width, tails of every kind, and the paper's descriptor sizes
+SELFCHECK_DIMS = (1, 7, 8, 31, 32, 96, 128, 960)
 
 _lib = None
-_lib_state = "unloaded"  # unloaded -> ready | failed (sticky per process)
+_lib_state = "unloaded"  # unloaded -> ready | env_hatch | no_compiler (sticky)
 _checked: dict[int, bool] = {}
-_checked_cdist: dict[int, bool] = {}
 
 
 def _load():
     global _lib, _lib_state
     if _lib_state != "unloaded":
         return _lib
-    _lib_state = "failed"
     if os.environ.get("REPRO_HNSW_NO_NATIVE"):
+        _lib_state = "env_hatch"
         return None
     lib = compile_and_load(_SRC, "repro-hnsw")
     if lib is None:
+        _lib_state = "no_compiler"
         return None
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
-    lib.hnsw_search_layer.restype = i64
-    lib.hnsw_search_layer.argtypes = [
-        p,  # X
-        i64,  # dim
-        p,  # nbrs
-        i64,  # row_stride
-        p,  # cnts
-        p,  # stamp
-        i64,  # epoch
-        p,  # q
-        p,  # in_d
-        p,  # in_i
-        i64,  # n_in
-        i64,  # ef
+    lib.l2_batch.restype = None
+    lib.l2_batch.argtypes = [p, p, i64, i64, i32, p]
+    lib.hnsw_knn_batch.restype = None
+    lib.hnsw_knn_batch.argtypes = [
+        p, i64,  # X, dim
+        p, p, p,  # nbrs_ptrs, strides, cnts_ptrs
+        i64, i64,  # max_level, entry
+        p, i64, i64, i64,  # Q, nq, k, ef
+        p,  # allowed (NULL = unfiltered)
         i32,  # do_sqrt
-        p,  # cd
-        p,  # ci
-        p,  # rd
-        p,  # ri
-        p,  # evals_out
+        p, p,  # stamp, epoch_io
+        p, p, p, p,  # cd, ci, rd, ri
+        p, p, p,  # D, I, evals_io
     ]
-    lib.l2sq32_batch.restype = None
-    lib.l2sq32_batch.argtypes = [p, p, i64, i32, p]
-    lib.l2d32_batch.restype = None
-    lib.l2d32_batch.argtypes = [p, p, i64, i32, p]
     lib.hnsw_insert_batch.restype = i64
     lib.hnsw_insert_batch.argtypes = [
-        p,  # X
+        p, i64,  # X, dim
         p,  # node_level
-        i64,  # n_start
-        i64,  # n_new
+        i64, i64,  # n_start, n_new
         p,  # new_levels
-        p,  # nbrs_ptrs
-        p,  # strides
-        p,  # cnts_ptrs
-        i64,  # M
-        i64,  # M0
-        i64,  # efc
-        i32,  # heuristic
-        i32,  # keep_pruned
-        i32,  # do_sqrt
-        p,  # stamp
-        p,  # epoch_io
-        p,  # entry_io
-        p,  # cd
-        p,  # ci
-        p,  # rd
-        p,  # ri
-        p,  # rows
-        i64,  # row_stride
-        p,  # flags
-        p,  # tmp_d
-        p,  # tmp_i
-        p,  # ch_d
-        p,  # ch_i
-        p,  # sh_d
-        p,  # sh_i
-        p,  # evals_out
-        p,  # shrinks_out
+        p, p, p,  # nbrs_ptrs, strides, cnts_ptrs
+        i64, i64, i64,  # M, M0, efc
+        i32, i32, i32,  # heuristic, keep_pruned, do_sqrt
+        p, p, p,  # stamp, epoch_io, entry_io
+        p, p, p, p,  # cd, ci, rd, ri
+        p, i64, p,  # rows, row_stride, flags
+        p, p, p, p, p, p,  # tmp_d, tmp_i, ch_d, ch_i, sh_d, sh_i
+        p, p,  # evals_out, shrinks_out
     ]
     _lib = lib
     _lib_state = "ready"
@@ -124,67 +103,40 @@ def _load():
 
 
 def _selfcheck(lib, do_sqrt: int) -> bool:
-    """Compare the C distance kernel against numpy, bit for bit."""
+    """Compare the C kernel against the numpy reference, bit for bit.
+
+    Rows at every :data:`SELFCHECK_DIMS` width, with magnitudes spread
+    over six decades so rounding in every lane and tree step is
+    exercised.
+    """
     hit = _checked.get(do_sqrt)
     if hit is not None:
         return hit
     rng = np.random.default_rng(0xC0FFEE)
-    n = 512
-    A = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
-    B = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
-    diff = A - B
-    ref = np.einsum("ij,ij->i", diff, diff)
-    if do_sqrt:
-        ref = np.sqrt(ref)
-    out = np.empty(n, dtype=np.float32)
-    lib.l2sq32_batch(A.ctypes.data, B.ctypes.data, n, do_sqrt, out.ctypes.data)
-    ok = bool(np.array_equal(ref.view(np.int32), out.view(np.int32)))
+    ok = True
+    for dim in SELFCHECK_DIMS:
+        scale = 10.0 ** rng.uniform(-3, 3, size=(64, 1))
+        A = (rng.normal(size=(64, dim)) * scale).astype(np.float32)
+        B = (rng.normal(size=(64, dim)) * scale[::-1]).astype(np.float32)
+        ref = l2sq_lanes(A - B)
+        if do_sqrt:
+            ref = np.sqrt(ref)
+        out = np.empty(64, dtype=np.float32)
+        lib.l2_batch(A.ctypes.data, B.ctypes.data, 64, dim, do_sqrt, out.ctypes.data)
+        ok = ok and bool(np.array_equal(ref.view(np.int32), out.view(np.int32)))
     _checked[do_sqrt] = ok
     return ok
 
 
-def _selfcheck_cdist(lib, do_sqrt: int) -> bool:
-    """Compare the C double-accumulation kernel against scipy cdist, bit for bit."""
-    hit = _checked_cdist.get(do_sqrt)
-    if hit is not None:
-        return hit
-    from repro.hnsw.kernels import _cdist_euclidean, _cdist_sqeuclidean
-
-    rng = np.random.default_rng(0xD15C)
-    n = 512
-    A = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
-    B = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
-    cdist = _cdist_euclidean if do_sqrt else _cdist_sqeuclidean
-    ref = np.ascontiguousarray(np.diagonal(cdist(A, B)))
-    out = np.empty(n, dtype=np.float64)
-    lib.l2d32_batch(A.ctypes.data, B.ctypes.data, n, do_sqrt, out.ctypes.data)
-    ok = bool(np.array_equal(ref.view(np.int64), out.view(np.int64)))
-    _checked_cdist[do_sqrt] = ok
-    return ok
-
-
-def native_search_layer_for(metric_name: str, dim: int):
-    """The compiled library if it can serve (metric, dim) bit-exactly, else None."""
-    if dim not in _NATIVE_DIMS or metric_name not in ("l2", "sqeuclidean"):
-        return None
+def native_for(metric_name: str):
+    """``(lib, reason)``: the compiled library when it can serve
+    ``metric_name`` bit-exactly (reason ``"ok"``), else ``(None, reason)``."""
+    do_sqrt = NATIVE_METRICS.get(metric_name)
+    if do_sqrt is None:
+        return None, "metric_unsupported"
     lib = _load()
     if lib is None:
-        return None
-    if not _selfcheck(lib, 1 if metric_name == "l2" else 0):
-        return None
-    return lib
-
-
-def native_build_for(metric_name: str, dim: int):
-    """The compiled library if the INSERT path can serve (metric, dim) bit-exactly.
-
-    On top of the search-layer gate this requires the cdist-compatible
-    double kernel (selection/shrink pairwise distances) to pass its own
-    bit-identity self-check.
-    """
-    lib = native_search_layer_for(metric_name, dim)
-    if lib is None:
-        return None
-    if not _selfcheck_cdist(lib, 1 if metric_name == "l2" else 0):
-        return None
-    return lib
+        return None, _lib_state
+    if not _selfcheck(lib, do_sqrt):
+        return None, "selfcheck_failed"
+    return lib, "ok"

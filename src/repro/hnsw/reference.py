@@ -190,7 +190,7 @@ class ReferenceHnswIndex:
         nbrs = np.asarray(self._links[level][node], dtype=np.int64)
         dists = self._dist_between(node, nbrs)
         cands = [(float(d), int(i)) for d, i in zip(dists, nbrs)]
-        chosen = self._select(self._X[node], cands, limit, level)
+        chosen = self._select(self._X[node], cands, limit, level, exclude=node)
         self._links[level][node] = [c for _, c in chosen]
 
     def _select(
@@ -199,12 +199,21 @@ class ReferenceHnswIndex:
         candidates: list[tuple[float, int]],
         m: int,
         level: int,
+        exclude: int | None = None,
     ) -> list[tuple[float, int]]:
+        """SELECT-NEIGHBORS for ``q`` among ``candidates``.
+
+        ``exclude`` is the node whose list is being re-selected (a shrink):
+        candidate extension must not pull it in from its own neighbors'
+        lists, or it would be kept at distance 0 and, by the heuristic,
+        dominate every other candidate.
+        """
         if not self.params.select_heuristic:
             return select_simple(candidates, m)
         cands = sorted(candidates)
         if self.params.extend_candidates:
             seen = {c for _, c in cands}
+            seen.add(exclude)
             extras: list[int] = []
             links = self._links[level]
             for _, c in list(cands):

@@ -57,7 +57,7 @@ class TestClusterGoldens:
     timing legitimately changes with B.
     """
 
-    DIGEST = "1f3ab48ae0dc047f"
+    DIGEST = "64e5431c34188cbc"
     GOLDEN = {
         # (batch_size, one_sided): (makespan, tasks, task_messages)
         (1, True): (4.781760000000001e-05, 72, 72),

@@ -393,3 +393,27 @@ class TestEngineFiltered:
             "tenant_queries",
         ):
             assert getattr(again, name) == getattr(rep, name), name
+
+    @pytest.mark.parametrize(
+        "scope", [{"tenant": 2}, {"filter": "tier=0..4"}, {"filter": "tier=0,1,2,3,4"}]
+    )
+    @pytest.mark.parametrize("strategy", ["pre", "post"])
+    def test_inserted_rows_carry_no_attributes(self, corpus, scope, strategy):
+        """Filtered queries keep working after ``add_points`` and never
+        return an inserted row: the new rows carry no attributes."""
+        X, Q, metadata = corpus
+        ann = DistributedANN(self._config(filter_strategy=strategy))
+        ann.fit(X, metadata=metadata)
+        # the queries themselves, inserted: each is every query's nearest
+        # neighbor, so only the filter keeps them out of the answers
+        new_ids = ann.add_points(Q)
+        assert all(
+            len(col) == p.n_points for p in ann.partitions.values() for col in p.attrs.values()
+        )
+        _, I, rep = ann.query(Q, **scope)
+        real = I[I >= 0]
+        assert real.size > 0
+        assert not np.isin(real, new_ids).any()
+        assert np.all(real < len(X))
+        _, I_all, _ = ann.query(Q)
+        assert np.isin(I_all[:, 0], new_ids).all()  # unfiltered, they win

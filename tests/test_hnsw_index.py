@@ -202,6 +202,11 @@ class TestSelectStrategies:
         )
         idx.add_items(X)
         assert layer_connectivity(idx, 0) == 1.0
+        # a shrink's candidate extension must not pull the node into its
+        # own list (it would sit at distance 0 and dominate every link)
+        for lv in range(idx.max_level + 1):
+            for node in idx.nodes_at_level(lv).tolist():
+                assert node not in idx.neighbors(node, lv)
 
 
 class TestSerialization:
