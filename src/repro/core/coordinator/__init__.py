@@ -1,9 +1,8 @@
 """The coordinator core: composable master-side dispatch machinery.
 
 The paper's master (Algorithms 3 and 5) and its fault-tolerant variant
-used to live as two ~250-line near-duplicate proc bodies in
-``repro.core.master``.  This package splits the shared logic into four
-pieces that compose instead of forking:
+were once two ~250-line near-duplicate proc bodies.  This package splits
+the shared logic into four pieces that compose instead of forking:
 
 - :class:`Router` — VP-tree routing plus route-cost accounting,
 - :class:`DispatchWindow` — credit-based flow control: at most

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SystemConfig
-from repro.core.master import MasterReport
+from repro.core.coordinator.report import MasterReport
 from repro.core.messages import (
     TAG_END,
     TAG_RESULT,

@@ -16,7 +16,8 @@ rank ever dies.  This package turns it into a robustness testbed:
 - :class:`~repro.faults.spec.FaultPolicy` configures the fault-*tolerant*
   dispatch path (cost-model-derived timeouts, bounded retry with
   exponential backoff, replica failover, graceful degradation); see
-  ``fault_tolerant_master_program`` in :mod:`repro.core.master`.
+  :class:`~repro.core.coordinator.harness.FaultHarness` in
+  :mod:`repro.core.coordinator`.
 
 See the "Fault model" section of ``docs/simulation.md`` for semantics.
 """

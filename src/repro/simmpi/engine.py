@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
@@ -84,6 +83,11 @@ def _tag_matches(pattern, tag) -> bool:
     if isinstance(pattern, tuple) and isinstance(tag, tuple) and len(pattern) == len(tag):
         return all(p == ANY_TAG or p == t for p, t in zip(pattern, tag))
     return pattern == tag
+
+
+def _is_wildcard(pattern) -> bool:
+    """True if ``pattern`` can match more than one exact tag."""
+    return pattern == ANY_TAG or (isinstance(pattern, tuple) and ANY_TAG in pattern)
 
 
 _RUNNABLE = "runnable"
@@ -272,18 +276,80 @@ class Mailbox:
     ``node`` records which compute node the mailbox lives on (None when
     unknown); the fault injector uses it to resolve the (src, dst) link of
     a send and to drop messages addressed to a crashed node.
+
+    Queued messages are indexed by exact tag: each tag owns a heap of
+    ``(arrival, seq, msg)``, so a receive for one tag from any source pops
+    its earliest message in O(log n) and a wildcard-tag receive compares
+    only the heads of the matching tags.  ``len(mailbox)`` is the number
+    of queued (unreceived) messages; ``peak_queued`` is the largest it
+    has been.
     """
 
-    __slots__ = ("name", "node", "_queue", "_pending")
+    __slots__ = ("name", "node", "peak_queued", "_buckets", "_n_queued", "_pending")
 
     def __init__(self, name: str = "", node: int | None = None) -> None:
         self.name = name
         self.node = node
-        self._queue: deque[_Message] = deque()
+        self.peak_queued = 0
+        self._buckets: dict[Any, list[tuple[float, int, _Message]]] = {}
+        self._n_queued = 0
         self._pending: list[Request] = []
 
+    def __len__(self) -> int:
+        return self._n_queued
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Mailbox({self.name!r}, queued={len(self._queue)})"
+        return f"Mailbox({self.name!r}, queued={self._n_queued})"
+
+    def _enqueue(self, msg: _Message) -> None:
+        bucket = self._buckets.get(msg.tag)
+        if bucket is None:
+            bucket = self._buckets[msg.tag] = []
+        heapq.heappush(bucket, (msg.arrival, msg.seq, msg))
+        self._n_queued += 1
+        if self._n_queued > self.peak_queued:
+            self.peak_queued = self._n_queued
+
+    def _take(self, source: int, tag) -> _Message | None:
+        """Dequeue the message matching ``(source, tag)`` with the smallest
+        ``(arrival, seq)``; None if no queued message matches."""
+        if _is_wildcard(tag):
+            keys = [key for key in self._buckets if _tag_matches(tag, key)]
+        else:
+            keys = [tag] if tag in self._buckets else []
+        best = None
+        for key in keys:
+            bucket = self._buckets[key]
+            idx = _earliest_from(bucket, source)
+            if idx >= 0 and (best is None or bucket[idx] < best[0]):
+                best = (bucket[idx], key, idx)
+        if best is None:
+            return None
+        _, key, idx = best
+        bucket = self._buckets[key]
+        if idx == 0:
+            msg = heapq.heappop(bucket)[2]
+        else:
+            msg = bucket[idx][2]
+            bucket[idx] = bucket[-1]
+            bucket.pop()
+            heapq.heapify(bucket)
+        if not bucket:
+            del self._buckets[key]
+        self._n_queued -= 1
+        return msg
+
+
+def _earliest_from(bucket: list, source: int) -> int:
+    """Index of the earliest entry of a tag heap sent by ``source``
+    (-1 if none); the head itself for ``ANY_SOURCE``."""
+    if source == ANY_SOURCE:
+        return 0
+    best = -1
+    for idx, entry in enumerate(bucket):
+        if entry[2].source == source and (best < 0 or entry < bucket[best]):
+            best = idx
+    return best
 
 
 # --------------------------------------------------------------------------
@@ -574,6 +640,7 @@ class Simulation:
         #: engine-level totals (events, messages, bytes) at the end of run()
         self.metrics = metrics
         self._procs: list[_Proc] = []
+        self._mailboxes: list[Mailbox] = []
         self._runq: list[tuple[float, int, int]] = []
         self._seq = itertools.count()
         self._collectives: dict[tuple, dict] = {}
@@ -582,7 +649,9 @@ class Simulation:
     # -- construction --------------------------------------------------------
 
     def new_mailbox(self, name: str = "", node: int | None = None) -> Mailbox:
-        return Mailbox(name, node)
+        mailbox = Mailbox(name, node)
+        self._mailboxes.append(mailbox)
+        return mailbox
 
     def add_proc(
         self,
@@ -597,7 +666,9 @@ class Simulation:
         if self._started:
             raise SimError("cannot add procs after run() started")
         pid = len(self._procs)
-        proc = _Proc(pid, name or f"proc{pid}", node, mailbox or Mailbox(f"mb{pid}", node))
+        if mailbox is None:  # not ``or``: an empty Mailbox is falsy
+            mailbox = Mailbox(f"mb{pid}", node)
+        proc = _Proc(pid, name or f"proc{pid}", node, mailbox)
         ctx = Context(self, proc)
         gen = program(ctx, *args)
         if not hasattr(gen, "send"):
@@ -682,6 +753,12 @@ class Simulation:
                 s.rma_ops for s in result.stats.values()
             )
             self.metrics.gauge("sim.makespan_seconds").set(result.makespan)
+            self.metrics.gauge("sim.mailbox_peak_queued").set(
+                max(
+                    (mb.peak_queued for mb in self._mailboxes + [p.mailbox for p in self._procs]),
+                    default=0,
+                )
+            )
         return result
 
     # -- internals ---------------------------------------------------------------
@@ -858,18 +935,13 @@ class Simulation:
                 if req._waiter is not None:
                     self._finish_wait_any(req._waiter, req, msg.payload)
                 return
-        mailbox._queue.append(msg)
+        mailbox._enqueue(msg)
 
     def _do_recv_post(self, proc: _Proc, sc: _RecvPost) -> Request:
         req = Request(sc.mailbox, sc.source, sc.tag, proc.clock)
-        best_idx, best = -1, None
-        for idx, msg in enumerate(sc.mailbox._queue):
-            if req._matches(msg.source, msg.tag):
-                if best is None or (msg.arrival, msg.seq) < (best.arrival, best.seq):
-                    best_idx, best = idx, msg
-        if best is not None:
-            del sc.mailbox._queue[best_idx]
-            req._complete(best)
+        msg = sc.mailbox._take(sc.source, sc.tag)
+        if msg is not None:
+            req._complete(msg)
         else:
             sc.mailbox._pending.append(req)
         return req

@@ -121,7 +121,7 @@ class TestRankCrashes:
 
         sim.add_proc(sender, node=0)
         out = sim.run()
-        assert len(sink._queue) == 0
+        assert len(sink) == 0
         lost = [e for e in out.fault_events if e.kind == "msg_lost_node_down"]
         assert lost and lost[0].detail["dst"] == 1
 
@@ -136,7 +136,7 @@ class TestRankCrashes:
 
         sim.add_proc(sender, node=0)
         sim.run()
-        assert len(sink._queue) == 1
+        assert len(sink) == 1
 
 
 class TestLinkFaults:
@@ -149,7 +149,7 @@ class TestLinkFaults:
 
         sim.add_proc(sender, node=0)
         out = sim.run()
-        assert len(sink._queue) == 0
+        assert len(sink) == 0
         assert [e.kind for e in out.fault_events] == ["msg_drop"]
 
     def test_duplicate_all(self):
@@ -161,7 +161,7 @@ class TestLinkFaults:
 
         sim.add_proc(sender, node=0)
         out = sim.run()
-        assert len(sink._queue) == 2
+        assert len(sink) == 2
         assert any(e.kind == "msg_dup" for e in out.fault_events)
 
     def test_delay_postpones_arrival(self):
