@@ -10,7 +10,12 @@ Runs the same batch search three times on a simulated 4-node cluster:
    the golden run);
 3. the same crash with r=1 (no replicas) — the affected tasks are
    abandoned after bounded retries and the batch completes with flagged
-   partial results instead of hanging.
+   partial results instead of hanging;
+4. open-loop serving under the same kind of crash (r=2, one credit per
+   core, a 3-deep ingress queue that sheds its oldest query) — arrivals,
+   admission and deadlines run in one coordinator loop, so the ingress
+   bound holds, the admission ledger balances, every admitted query
+   completes, and every fully answered one matches the golden run.
 
 Exits non-zero if any of those guarantees is violated, so it doubles as a
 smoke test (``make faults-demo``).
@@ -33,7 +38,7 @@ from repro.faults import FaultSpec, RankCrash
 from repro.hnsw import HnswParams
 
 
-def build_and_query(X, Q, replication, fault_spec=None):
+def build_and_query(X, Q, replication, fault_spec=None, **serving):
     config = SystemConfig(
         n_cores=4,
         cores_per_node=1,  # one core per node so workgroups span nodes
@@ -44,6 +49,7 @@ def build_and_query(X, Q, replication, fault_spec=None):
         one_sided=False,  # the fault-tolerant master needs two-sided results
         fault_spec=fault_spec,
         seed=0,
+        **serving,
     )
     ann = DistributedANN(config)
     ann.fit(X)
@@ -99,6 +105,40 @@ def main() -> int:
         ok = False
     if rep1.failed_tasks == 0:
         print("FAIL: unreplicated run under a crash should abandon the lost tasks")
+        ok = False
+
+    # 4. open-loop serving: a crash while the ingress queue sheds
+    serving = dict(
+        arrival="poisson:200000", dispatch_window=1, queue_depth=3, overload_policy="shed_oldest"
+    )
+    _, _, rep_ff = build_and_query(X, Q, replication=2, **serving)
+    spec4 = FaultSpec(crashes=(RankCrash(node=1, at=rep_ff.total_seconds * 0.3),))
+    D4, I4, rep4 = build_and_query(X, Q, replication=2, fault_spec=spec4, **serving)
+    admitted = np.isfinite(rep4.query_latencies)
+    full = admitted & (rep4.completeness >= 1.0)
+    print(
+        f"serving under a crash: offered {rep4.offered_queries}, admitted "
+        f"{rep4.admitted_queries}, shed {rep4.shed_queries}, rejected "
+        f"{rep4.rejected_queries}, peak ingress depth {rep4.max_ingress_depth}\n"
+        f"  {rep4.failovers} failovers, {int(full.sum())} fully answered"
+    )
+    if (
+        rep4.admitted_queries + rep4.shed_queries + rep4.rejected_queries
+        != rep4.offered_queries
+    ):
+        print("FAIL: the admission ledger must balance under a crash")
+        ok = False
+    if rep4.shed_queries == 0:
+        print("FAIL: the ingress bound must engage (shed the oldest) under a crash")
+        ok = False
+    if rep4.max_ingress_depth > 3:
+        print("FAIL: the ingress queue must stay within its bound under a crash")
+        ok = False
+    if admitted.sum() != rep4.admitted_queries:
+        print("FAIL: every admitted query must complete under a crash")
+        ok = False
+    if not (np.array_equal(I0[full], I4[full]) and np.array_equal(D0[full], D4[full])):
+        print("FAIL: fully answered served queries must match the golden results")
         ok = False
 
     print("OK: crash tolerated, degradation flagged" if ok else "demo FAILED")

@@ -6,9 +6,10 @@ credit acks — and two consumers: the plain pipeline's collect loops and
 the :class:`~repro.core.coordinator.window.DispatchWindow`'s blocked
 dispatch, which *streams* results while waiting for a credit so merging
 overlaps in-flight work.  :meth:`ResultMerger.consume_one` is the one
-message-at-a-time entry both use; the fault harness reuses the
-lower-level :meth:`merge_payload` (its receive is a deadline-bounded
-``wait_any``, not a plain wait).
+message-at-a-time entry both use; the
+:class:`~repro.core.coordinator.loop.EventLoop` reuses the lower-level
+:meth:`merge_payload` (it owns its receives: arrivals and results
+settle in completion order, under a deadline budget).
 """
 
 from __future__ import annotations
@@ -74,32 +75,6 @@ class ResultMerger:
         self.results.update(qid, d, ids)
         return [(int(qid), d)], int(pid_part)
 
-    def settle_credit(self, payload, window, ctx: Context | None = None) -> None:
-        """Settle one credit-ack payload: count the tasks done, return
-        their dispatch credits.  Pure bookkeeping — charges no time."""
-        _, qids_b, pid_part = payload
-        for qid in qids_b:
-            self.tasks_completed += 1
-            window.release((int(qid), int(pid_part)))
-            if ctx is not None and ctx.trace_active:
-                ctx.trace_instant(
-                    "task_settle", query_id=int(qid), partition=int(pid_part)
-                )
-
-    def finish_rows(self, rows, pid_part, window, ctx: Context | None = None) -> None:
-        """Settle already-merged rows: credits back, completion hooks.
-        Pure bookkeeping — charges no time."""
-        trace = ctx is not None and ctx.trace_active
-        for qid, d in rows:
-            self.tasks_completed += 1
-            window.release((qid, pid_part))
-            if trace:
-                ctx.trace_instant("task_settle", query_id=int(qid), partition=int(pid_part))
-            if self.note_result is not None:
-                self.note_result(qid)
-            if self.on_complete is not None:
-                self.on_complete(qid, pid_part, d)
-
     def consume_one(self, ctx: Context, window):
         """Receive and settle one in-flight message, releasing credits.
 
@@ -108,14 +83,23 @@ class ResultMerger:
         window, only the flow-control bookkeeping passes through the
         coordinator.
         """
-        if self.one_sided:
-            with ctx.span("reduce"):
-                req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_CREDIT)
-                payload = yield from ctx.wait(req)
-            self.settle_credit(payload, window, ctx=ctx)
-            return
         with ctx.span("reduce"):
-            req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
-            payload = yield from ctx.wait(req)
-            rows, pid_part = yield from self.merge_payload(ctx, payload)
-        self.finish_rows(rows, pid_part, window, ctx=ctx)
+            if self.one_sided:
+                req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_CREDIT)
+                _, qids_b, pid_part = yield from ctx.wait(req)
+                rows, pid_part = [(int(qid), None) for qid in qids_b], int(pid_part)
+            else:
+                req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
+                payload = yield from ctx.wait(req)
+                rows, pid_part = yield from self.merge_payload(ctx, payload)
+        # settle: credits back, completion hooks (pure bookkeeping)
+        trace = ctx.trace_active
+        for qid, d in rows:
+            self.tasks_completed += 1
+            window.release((qid, pid_part))
+            if trace:
+                ctx.trace_instant("task_settle", query_id=qid, partition=pid_part)
+            if self.note_result is not None:
+                self.note_result(qid)
+            if self.on_complete is not None:
+                self.on_complete(qid, pid_part, d)

@@ -1,7 +1,10 @@
-"""The fault-free coordinator pipeline (paper Algorithms 3 and 5).
+"""The closed-loop fault-free coordinator (paper Algorithms 3 and 5).
 
 Route → flow-controlled dispatch → streaming merge → drain, composed
-from the package's pieces.  Covers all fault-free mode combinations:
+from the package's pieces.  Covers every closed-loop fault-free mode
+(open-loop arrivals and deadlines run in
+:class:`~repro.core.coordinator.loop.EventLoop`, which shares this
+module's End broadcast, thread-exit drain and report tail):
 
 - approx routing (fixed ``n_probe``, per-partition dispatch batching)
   and adaptive routing (pilot probe + exact-ball second wave),
@@ -29,9 +32,42 @@ from repro.core.messages import TAG_END, TAG_THREAD_DONE
 from repro.core.replication import Workgroups
 from repro.core.results import GlobalResults
 from repro.loadbalance import PrimarySelector, ReplicaSelector
-from repro.simmpi.engine import Context, Mailbox
+from repro.simmpi.engine import WAIT_TIMED_OUT, Context, Mailbox
 
-__all__ = ["CoordinatorPipeline"]
+__all__ = ["CoordinatorPipeline", "end_of_queries", "await_thread_exits", "close_report"]
+
+
+def end_of_queries(ctx: Context, config: SystemConfig, node_mailboxes: list[Mailbox]):
+    """Broadcast End of Queries to every worker node (Alg. 3 lines 12-14)."""
+    for node in range(config.n_nodes):
+        yield from ctx.send_to_mailbox(
+            node_mailboxes[node], ("end",), source=ctx.pid, tag=TAG_END, nbytes=8, same_node=False
+        )
+
+
+def await_thread_exits(ctx: Context, n: int, timeout: float | None = None):
+    """Collect up to ``n`` worker-thread exit notices; returns how many
+    landed.  With a ``timeout``, stops at the first notice that does not
+    land within it (threads on a crashed node never answer)."""
+    for got in range(n):
+        req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
+        if timeout is None:
+            yield from ctx.wait(req)
+            continue
+        fired, _ = yield from ctx.wait_any([req], timeout=timeout)
+        if fired == WAIT_TIMED_OUT:
+            yield from ctx.cancel(req)
+            return got
+    return n
+
+
+def close_report(report: MasterReport, window: DispatchWindow) -> MasterReport:
+    """The report tail both coordinator loops share: queue depth and
+    credit accounting."""
+    report.queue_depth_timeline = window.tracker.timeline()
+    report.max_outstanding_tasks = window.max_outstanding
+    report.credits_leaked = window.outstanding
+    return report
 
 
 class CoordinatorPipeline:
@@ -58,7 +94,6 @@ class CoordinatorPipeline:
         if selector is None:
             selector = PrimarySelector(workgroups)
         self.selector = selector
-        self.tracker = selector.tracker
         self.router = Router(router, self.report, int(queries.shape[1]))
         self.window = DispatchWindow(
             config, selector, self.report, node_mailboxes, fpayload=fpayload
@@ -76,7 +111,6 @@ class CoordinatorPipeline:
         window, merger = self.window, self.merger
         queries = self.queries
         one_sided = self.rma_window is not None
-        n_threads_total = config.n_nodes * config.threads_per_node
         batch_start = ctx.now
         outstanding = np.zeros(len(queries), dtype=np.int64)
         latencies = np.full(len(queries), np.nan)
@@ -100,17 +134,8 @@ class CoordinatorPipeline:
         else:  # adaptive, two-sided (collects its own results inline)
             yield from self._adaptive(ctx)
 
-        # End of Queries to every worker node (Alg. 3 lines 12-14)
         with ctx.span("drain"):
-            for node in range(config.n_nodes):
-                yield from ctx.send_to_mailbox(
-                    self.node_mailboxes[node],
-                    ("end",),
-                    source=ctx.pid,
-                    tag=TAG_END,
-                    nbytes=8,
-                    same_node=False,
-                )
+            yield from end_of_queries(ctx, config, self.node_mailboxes)
 
         # collection loop (Alg. 3 lines 15-18): whatever is still in
         # flight — everything at W = 0, the uncollected tail at finite W.
@@ -124,16 +149,11 @@ class CoordinatorPipeline:
         # tells the master every Get_accumulate has landed; in two-sided
         # mode it simply drains the exit messages
         with ctx.span("drain"):
-            for _ in range(n_threads_total):
-                req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
-                yield from ctx.wait(req)
+            yield from await_thread_exits(ctx, config.n_nodes * config.threads_per_node)
 
         if not one_sided:
             report.query_latencies = latencies
-        report.queue_depth_timeline = self.tracker.timeline()
-        report.max_outstanding_tasks = window.max_outstanding
-        report.credits_leaked = window.outstanding
-        return report
+        return close_report(report, window)
 
     # -- approx: route everything, batch per partition, collect after -------
 

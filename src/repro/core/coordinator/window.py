@@ -61,11 +61,11 @@ class _CreditBlocked:
 class DispatchWindow:
     """Per-core credit accounting plus the task send path.
 
-    Both coordinator variants send every task through here: the plain
-    pipeline via :meth:`dispatch` / :meth:`dispatch_batch` (which block
-    on credits), the fault harness via the lower-level :meth:`send_task`
-    (it owns its own retry spans and deadline bookkeeping and handles
-    credit exhaustion by deferring, never blocking its collect loop).
+    Both coordinator loops send every task through here: the pipeline
+    via :meth:`dispatch` / :meth:`dispatch_batch` (which block on
+    credits), the event loop via the lower-level :meth:`send_task` (it
+    owns its spans and deadlines and gates its queue head on credits
+    instead of blocking, so it keeps settling and sweeping meanwhile).
     """
 
     def __init__(
@@ -169,8 +169,8 @@ class DispatchWindow:
     def send_task(self, ctx: Context, query_id: int, partition_id: int, core: int, qvec):
         """Record + charge + ship one (query, partition) task to ``core``.
 
-        No span and no credit *wait* — the callers own both (the plain
-        pipeline blocks up front, the fault harness defers instead).
+        No span and no credit *wait* — the callers own both (the
+        pipeline blocks up front, the event loop gates its head).
         """
         self.tracker.record_dispatch(core, ctx.now)
         self.report.dispatch_counts[core] += 1

@@ -15,9 +15,10 @@ rank ever dies.  This package turns it into a robustness testbed:
   :class:`~repro.faults.injector.FaultEvent`.
 - :class:`~repro.faults.spec.FaultPolicy` configures the fault-*tolerant*
   dispatch path (cost-model-derived timeouts, bounded retry with
-  exponential backoff, replica failover, graceful degradation); see
-  :class:`~repro.core.coordinator.harness.FaultHarness` in
-  :mod:`repro.core.coordinator`.
+  exponential backoff, replica failover, graceful degradation): the
+  deadline policy of the coordinator's
+  :class:`~repro.core.coordinator.loop.EventLoop`, which serves closed
+  batches and open-loop arrivals alike.
 
 See the "Fault model" section of ``docs/simulation.md`` for semantics.
 """

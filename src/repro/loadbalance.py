@@ -309,8 +309,8 @@ def derive_task_timeout(policy, task_seconds_hint: float, network) -> float:
     ``policy.min_timeout`` — loose enough that fault-free runs never
     trip it, tight enough that a crashed rank is detected quickly.  An
     explicit ``policy.task_timeout`` overrides the derivation.  The one
-    shared implementation of the rule (coordinator fault harness and
-    any load-model consumer alike); the regression test pins its values.
+    shared implementation of the rule (the coordinator's deadline
+    policy and any load-model consumer alike); the regression test pins its values.
     """
     if policy.task_timeout is not None:
         return policy.task_timeout

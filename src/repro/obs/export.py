@@ -56,20 +56,20 @@ SPAN_NAMES = frozenset(
         "search",  # local HNSW search on a worker thread
         "reduce",  # result merge at the coordinator / worker-side accumulate
         "drain",  # shutdown/drain phases
-        "retry",  # FT harness re-sent a timed-out task to the same core
-        "failover",  # FT harness moved a timed-out task to a replica
+        "retry",  # deadline policy re-sent a timed-out task to the same core
+        "failover",  # deadline policy moved a timed-out task to a replica
     }
 )
 
 #: the complete instant (zero-width marker) vocabulary
 INSTANT_NAMES = frozenset(
     {
-        "arrive",  # open-loop query arrival at the serving coordinator
+        "arrive",  # open-loop query arrival at the coordinator
         "admit",  # admission queue began service for a query
         "cache_probe",  # result-cache lookup (attrs: hit=True/False)
         "task_send",  # a task message left the coordinator
         "task_settle",  # a task's result (or credit ack) settled
-        "suspect_core",  # FT harness marked a core as suspected dead
+        "suspect_core",  # deadline policy marked a core as suspected dead
         "complete",  # all of a query's tasks settled; answer finalized
     }
 )

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.coordinator import CoordinatorPipeline, FaultHarness
+from repro.core.coordinator import CoordinatorPipeline, EventLoop
 from repro.core.owner import owner_node_program
 from repro.faults.spec import FaultPolicy
 from repro.loadbalance import LoadTracker, estimate_task_seconds, make_selector
@@ -33,7 +33,6 @@ from repro.serving import (
     arrival_source_program,
     cache_namespace,
 )
-from repro.serving.coordinator import ServingPipeline
 from repro.simmpi.comm import Comm
 from repro.simmpi.engine import Mailbox
 from repro.simmpi.rma import Window
@@ -100,7 +99,6 @@ class MasterWorkerStrategy(DispatchStrategy):
         cfg = rt.config
         master_node = cfg.n_nodes  # the master gets a node of its own
         window_holder: list[Window | None] = [None]
-        fault_tolerant = cfg.fault_spec is not None or cfg.fault_policy is not None
 
         # the replica-selection policy and its load model: one tracker per
         # run (the master is the only dispatcher in this strategy), in-flight
@@ -135,61 +133,33 @@ class MasterWorkerStrategy(DispatchStrategy):
                 ),
             )
 
-        # the coordinator core (repro.core.coordinator): the plain pipeline
-        # and the fault harness share routing, windowed dispatch, and result
-        # merging; only deadline/retry handling differs between them
-        if fault_tolerant:
-            policy = cfg.fault_policy if cfg.fault_policy is not None else FaultPolicy()
+        # the coordinator core (repro.core.coordinator): the closed-loop
+        # fault-free pipeline, or the event loop with its two plug points —
+        # the arrival source (serving_state; None = closed loop) and the
+        # deadline policy (None = fault-free); all share routing, windowed
+        # dispatch and result merging
+        policy = cfg.fault_policy
+        if policy is None and cfg.fault_spec is not None:
+            policy = FaultPolicy()
 
-            def master(ctx):
-                harness = FaultHarness(
-                    cfg,
-                    job.router,
-                    job.workgroups,
-                    job.Q,
-                    job.results,
-                    rt.node_mailboxes,
-                    policy,
-                    task_seconds,
-                    selector=selector,
-                    serving=serving_state,
-                    metrics=rt.metrics,
-                    fpayload=job.fpayload,
+        def master(ctx):
+            args = (
+                cfg,
+                job.router,
+                job.workgroups,
+                job.Q,
+                job.results,
+                rt.node_mailboxes,
+                window_holder[0],
+            )
+            kw = dict(selector=selector, metrics=rt.metrics, fpayload=job.fpayload)
+            if serving_state is None and policy is None:
+                coordinator = CoordinatorPipeline(*args, **kw)
+            else:
+                coordinator = EventLoop(
+                    *args, **kw, serving=serving_state, policy=policy, task_seconds=task_seconds
                 )
-                return (yield from harness.run(ctx))
-        elif serving_state is not None:
-
-            def master(ctx):
-                pipeline = ServingPipeline(
-                    cfg,
-                    job.router,
-                    job.workgroups,
-                    job.Q,
-                    job.results,
-                    rt.node_mailboxes,
-                    window_holder[0],
-                    serving_state,
-                    selector=selector,
-                    metrics=rt.metrics,
-                    fpayload=job.fpayload,
-                )
-                return (yield from pipeline.run(ctx))
-        else:
-
-            def master(ctx):
-                pipeline = CoordinatorPipeline(
-                    cfg,
-                    job.router,
-                    job.workgroups,
-                    job.Q,
-                    job.results,
-                    rt.node_mailboxes,
-                    window_holder[0],
-                    selector=selector,
-                    metrics=rt.metrics,
-                    fpayload=job.fpayload,
-                )
-                return (yield from pipeline.run(ctx))
+            return (yield from coordinator.run(ctx))
 
         pid = rt.sim.add_proc(master, node=master_node, name="master")
         if cfg.one_sided:

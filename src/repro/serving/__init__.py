@@ -15,9 +15,10 @@ the capacity knee, and how much a hot-query cache buys.  Four pieces:
   timestamps for arrival-to-completion latency and SLO-violation
   accounting.
 
-The coordinator that drives these (``repro.serving.coordinator``) is
-deliberately *not* imported here: ``core.config`` validates arrival
-specs through this package root, and the coordinator imports core.
+The coordinator that drives these is the arrival source of
+:class:`repro.core.coordinator.loop.EventLoop`; it is deliberately *not*
+imported here: ``core.config`` validates arrival specs through this
+package root, and the coordinator imports core.
 """
 
 from repro.serving.admission import OVERLOAD_POLICIES, AdmissionQueue

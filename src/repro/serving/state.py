@@ -2,8 +2,7 @@
 
 Kept free of any ``repro.core`` import so the ``repro.serving`` package
 root can be imported from ``core.config`` validation without a cycle:
-the coordinator-side glue lives in ``repro.serving.coordinator`` and is
-imported only by the runtime strategies.
+the coordinator that consumes it is ``repro.core.coordinator.loop``.
 """
 
 from __future__ import annotations

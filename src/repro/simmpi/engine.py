@@ -961,9 +961,11 @@ class Simulation:
             self._block(proc)
 
     def _do_wait_any(self, proc: _Proc, waitables: list, timeout: float | None = None) -> None:
+        if any(isinstance(w, Request) and w.cancelled for w in waitables):
+            raise SimError(f"proc {proc.name} waiting on a cancelled request")
         # immediate completion?
         for idx, w in enumerate(waitables):
-            if isinstance(w, Request) and w.done and not w.cancelled:
+            if isinstance(w, Request) and w.done:
                 proc.clock = max(proc.clock, w.completion_time) + self.network.recv_overhead()
                 proc.stats.recv_time += self.network.recv_overhead()
                 proc.sendval = (idx, w.payload)

@@ -201,6 +201,22 @@ class TestMessaging:
         with pytest.raises(SimError, match="cancelled"):
             sim.run()
 
+    @pytest.mark.parametrize("timeout", [None, 1.0])
+    def test_wait_any_on_cancelled_request_raises(self, timeout):
+        """wait_any refuses a cancelled request exactly like wait does,
+        instead of registering on it and blocking forever."""
+
+        def p(ctx):
+            live = yield from ctx.post_recv(ctx.mailbox, tag=8)
+            req = yield from ctx.post_recv(ctx.mailbox, tag=7)
+            yield from ctx.cancel(req)
+            yield from ctx.wait_any([live, req], timeout=timeout)
+
+        sim = Simulation()
+        sim.add_proc(p)
+        with pytest.raises(SimError, match="waiting on a cancelled request"):
+            sim.run()
+
     def test_cancelled_recv_does_not_consume_message(self):
         """A message sent after cancel must land in the queue, not the
         withdrawn request — a later receive picks it up."""
